@@ -426,51 +426,6 @@ fn bench_execute(c: &mut Criterion) {
     group.finish();
 }
 
-/// The workspace-reuse win on sweep-style workloads: the same
-/// six-dataflow sweep over a batch of small layers, once through a single
-/// accelerator (hot `WorkspacePool` — the steady state performs no
-/// scratch allocation) and once through a fresh accelerator per layer
-/// (every execute re-allocates its tile plans, accumulator pools, stamp
-/// vectors and k-entry tables). Small layers maximize the scratch-setup
-/// share, which is exactly the oracle/`mapper_calibrate` sweep pattern.
-fn bench_workspace_reuse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("workspace_reuse");
-    let mut rng = ChaCha8Rng::seed_from_u64(41);
-    let layers: Vec<(CompressedMatrix, CompressedMatrix)> = (0..32)
-        .map(|_| {
-            (
-                gen::random(16, 24, 0.25, MajorOrder::Row, &mut rng),
-                gen::random(24, 16, 0.3, MajorOrder::Row, &mut rng),
-            )
-        })
-        .collect();
-    let sweep = |accel: &Flexagon, a: &CompressedMatrix, b: &CompressedMatrix| {
-        for df in Dataflow::ALL {
-            black_box(
-                accel
-                    .execute(ExecutionRequest::new(black_box(a), black_box(b)).dataflow(df))
-                    .unwrap(),
-            );
-        }
-    };
-    let pooled = Flexagon::with_defaults();
-    group.bench_function("pooled/32x16", |bench| {
-        bench.iter(|| {
-            for (a, b) in &layers {
-                sweep(&pooled, a, b);
-            }
-        });
-    });
-    group.bench_function("fresh/32x16", |bench| {
-        bench.iter(|| {
-            for (a, b) in &layers {
-                sweep(&Flexagon::with_defaults(), a, b);
-            }
-        });
-    });
-    group.finish();
-}
-
 /// The intra-layer-sharded engine over the same operands as
 /// `bench_execute`: fixed band grain, worker count from
 /// `FLEXAGON_SHARD_WORKERS` (default 4). On a multi-core host the
@@ -582,7 +537,6 @@ criterion_group!(
     bench_kway_merge,
     bench_execute,
     bench_format_kernels,
-    bench_workspace_reuse,
     bench_execute_sharded
 );
 criterion_main!(benches);

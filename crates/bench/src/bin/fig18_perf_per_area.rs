@@ -70,8 +70,9 @@ fn main() {
 
     // Second view: the nine Table 6 layers at their exact published shapes
     // and sparsities. The synthetic full-model suite scales large layers
-    // down (DESIGN.md §4), which shifts the OP/Gust balance; the pinned
-    // layers measure perf/area free of that scaling.
+    // down (see the scaling note in `crates/dnn/src/models.rs`), which
+    // shifts the OP/Gust balance; the pinned layers measure perf/area free
+    // of that scaling.
     println!("\nPerf/area on the Table 6 representative layers (exact shapes):");
     let mut rows = Vec::new();
     let mut efficiencies: Vec<Vec<f64>> = vec![Vec::new(); systems.len()];

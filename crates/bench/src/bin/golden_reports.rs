@@ -7,17 +7,19 @@
 //! [`ExecutionReport`](flexagon_core::ExecutionReport)
 //! (cycles, per-phase clocks, traffic, cache stats, counters) plus the
 //! functional output matrix for all six dataflows over a spread of shapes
-//! and sparsities.
+//! and sparsities (the corpus in [`flexagon_bench::golden`]).
+//!
+//! `golden_reports --digests` prints one FNV-1a digest per case instead,
+//! in the format of the checked-in `crates/bench/golden_digests.txt` that
+//! tier-1 tests assert against.
 //!
 //! `FLEXAGON_SHARD_GRAIN` / `FLEXAGON_SHARD_WORKERS` configure the
 //! intra-layer sharded engine, which is how the parallel determinism
 //! guarantee is verified end to end: with a fixed grain, dumps at worker
 //! counts 1, 2 and 4 must be byte-identical (`cmp` them).
 
-use flexagon_core::{Accelerator, AcceleratorConfig, Dataflow, ExecutionRequest, Flexagon};
-use flexagon_sparse::{gen, MajorOrder};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use flexagon_bench::golden;
+use flexagon_core::{AcceleratorConfig, Flexagon};
 
 fn env_knob(name: &str) -> Option<usize> {
     std::env::var(name).ok().map(|v| {
@@ -27,42 +29,31 @@ fn env_knob(name: &str) -> Option<usize> {
 }
 
 fn main() {
-    // (m, k, n, density_a, density_b, seed)
-    let cases: &[(u32, u32, u32, f64, f64, u64)] = &[
-        (32, 48, 40, 0.30, 0.20, 1),
-        (96, 64, 80, 0.10, 0.40, 2),
-        (160, 160, 160, 0.05, 0.05, 3),
-        (64, 512, 48, 0.20, 0.15, 4),
-        (8, 8, 8, 1.00, 1.00, 5),
-    ];
+    let digests = match std::env::args().nth(1).as_deref() {
+        None => false,
+        Some("--digests") => true,
+        Some(other) => panic!("unknown argument '{other}' (usage: golden_reports [--digests])"),
+    };
     let mut cfg = AcceleratorConfig::table5();
     cfg.engine = cfg.engine.sharded(
         env_knob("FLEXAGON_SHARD_GRAIN").unwrap_or(0),
         env_knob("FLEXAGON_SHARD_WORKERS").unwrap_or(1),
     );
-    let accel = Flexagon::new(cfg);
-    println!("[");
-    let mut first = true;
-    for &(m, k, n, da, db, seed) in cases {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = gen::random(m, k, da, MajorOrder::Row, &mut rng);
-        let b = gen::random(k, n, db, MajorOrder::Row, &mut rng);
-        for df in Dataflow::ALL {
-            let out = accel
-                .execute(ExecutionRequest::new(&a, &b).dataflow(df))
-                .expect("golden run")
-                .output;
-            if !first {
-                println!(",");
-            }
-            first = false;
-            let label = format!("{m}x{k}x{n}/da{da}/db{db}/seed{seed}/{df}");
-            print!(
-                "{{\"case\": \"{label}\", \"report\": {}, \"c\": {}}}",
-                serde_json::to_string(&out.report).expect("report serializes"),
-                serde_json::to_string(&out.c).expect("matrix serializes"),
-            );
-        }
+    let cases = golden::run(&Flexagon::new(cfg));
+    if digests {
+        print!("{}", golden::digest_lines(&cases));
+        return;
     }
-    println!("\n]");
+    let body: Vec<String> = cases
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"case\": \"{}\", \"report\": {}, \"c\": {}}}",
+                c.label, c.report, c.c
+            )
+        })
+        .collect();
+    println!("[");
+    println!("{}", body.join(",\n"));
+    println!("]");
 }

@@ -129,7 +129,7 @@ fn main() {
                 Some(o) => runner::run_model_opts(&model, DEFAULT_SEED, o, false),
             };
             // Warm-up: one full pass (operand materialization, allocator,
-            // caches, workspace pools) at this parallelism.
+            // caches) at this parallelism.
             run();
             let start = Instant::now();
             let mut iters = 0u64;

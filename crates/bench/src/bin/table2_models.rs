@@ -61,7 +61,8 @@ fn main() {
     );
     println!(
         "Sizes in MiB. FC/transformer layers are uniformly scaled for\n\
-         tractability (DESIGN.md §4), so absolute sizes sit below the paper's;\n\
-         per-model orderings and sparsity averages match Table 2."
+         tractability (see crates/dnn/src/models.rs), so absolute sizes sit\n\
+         below the paper's; per-model orderings and sparsity averages match\n\
+         Table 2."
     );
 }

@@ -1,13 +1,14 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation section has a dedicated
-//! binary under `src/bin/` (see DESIGN.md §5 for the index). This library
+//! binary under `src/bin/` (`repro_all` runs them all). This library
 //! holds the pieces they share: running one layer across the four
 //! accelerators, aggregating per-model results, and text-table rendering.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod golden;
 pub mod mapper;
 pub mod render;
 pub mod runner;

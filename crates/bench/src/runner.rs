@@ -8,8 +8,8 @@ use flexagon_dnn::{DnnModel, LayerSpec};
 use rayon::prelude::*;
 use serde::Serialize;
 
-/// Seed used by every harness binary, so all tables and figures in
-/// EXPERIMENTS.md come from the same materialized workload.
+/// Seed used by every harness binary, so all tables and figures come from
+/// the same materialized workload.
 pub const DEFAULT_SEED: u64 = 0xF1E_CA60;
 
 /// The five systems of Fig. 12.

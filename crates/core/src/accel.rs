@@ -8,7 +8,7 @@
 
 use crate::{
     engine, mapper, AcceleratorConfig, CancelToken, CoreError, Dataflow, ExecutionReport,
-    FormatChoice, MappingStrategy, Result, WorkspacePool,
+    FormatChoice, MappingStrategy, Result,
 };
 use flexagon_sparse::{validate_matrix, CompressedMatrix, FiberFormat, ValidationConfig};
 
@@ -22,9 +22,8 @@ pub struct RunOutput {
     pub report: ExecutionReport,
 }
 
-/// One execution, fully specified: operands plus the strategy, format and
-/// validation knobs that used to be spread across the
-/// `run`/`run_strategy`/`try_run`/`try_run_strategy` method grid.
+/// One execution, fully specified: operands plus the strategy, format,
+/// validation and cancellation knobs.
 ///
 /// Built builder-style from [`ExecutionRequest::new`] — every knob
 /// defaults to the common case (heuristic dataflow, config-default
@@ -144,19 +143,8 @@ pub trait Accelerator {
     /// The dataflows this accelerator can execute.
     fn supported_dataflows(&self) -> &[Dataflow];
 
-    /// The accelerator's reusable execution-workspace pool, if it keeps
-    /// one. Pooled workspaces eliminate per-execute scratch allocation;
-    /// they never affect results.
-    fn workspaces(&self) -> Option<&WorkspacePool> {
-        None
-    }
-
-    /// The unified execution entry point: runs one SpMSpM operation as a
-    /// fully-specified [`ExecutionRequest`].
-    ///
-    /// The request carries in one struct what used to be a 2x2 method grid
-    /// (`run`/`run_strategy` x plain/`try_`), plus the format knob the
-    /// grid would have doubled again:
+    /// The execution entry point: runs one SpMSpM operation as a
+    /// fully-specified [`ExecutionRequest`], resolved in three steps:
     ///
     /// * **Validation** runs first when requested
     ///   ([`ExecutionRequest::validated`]) — the boundary for operands
@@ -213,8 +201,7 @@ pub trait Accelerator {
                     dataflow: df,
                 });
             }
-            let (c, report) =
-                engine::execute(cfg, self.workspaces(), req.a, req.b, df, &req.cancel)?;
+            let (c, report) = engine::execute(cfg, req.a, req.b, df, &req.cancel)?;
             Ok(RunOutput { c, report })
         };
         let (dataflow, output) = match req.strategy {
@@ -247,118 +234,6 @@ pub trait Accelerator {
             output,
         })
     }
-
-    /// Runs `a x b` under `dataflow`.
-    ///
-    /// Thin wrapper over [`Accelerator::execute`]; prefer
-    /// `execute(ExecutionRequest::new(a, b).dataflow(dataflow))`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedDataflow`] if the dataflow is not in
-    /// [`Accelerator::supported_dataflows`]; [`CoreError::Format`] on
-    /// dimension mismatch.
-    #[deprecated(note = "use `execute(ExecutionRequest::new(a, b).dataflow(dataflow))`")]
-    fn run(
-        &self,
-        a: &CompressedMatrix,
-        b: &CompressedMatrix,
-        dataflow: Dataflow,
-    ) -> Result<RunOutput> {
-        self.execute(ExecutionRequest::new(a, b).dataflow(dataflow))
-            .map(|ex| ex.output)
-    }
-
-    /// Runs `a x b` with the dataflow chosen by `strategy`, returning the
-    /// selection together with its output.
-    ///
-    /// Thin wrapper over [`Accelerator::execute`]; prefer
-    /// `execute(ExecutionRequest::new(a, b).strategy(strategy))`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors; [`CoreError::UnsupportedDataflow`] when
-    /// a `Fixed` dataflow is not supported.
-    #[deprecated(note = "use `execute(ExecutionRequest::new(a, b).strategy(strategy))`")]
-    fn run_strategy(
-        &self,
-        a: &CompressedMatrix,
-        b: &CompressedMatrix,
-        strategy: MappingStrategy,
-    ) -> Result<(Dataflow, RunOutput)> {
-        self.execute(ExecutionRequest::new(a, b).strategy(strategy))
-            .map(|ex| (ex.dataflow, ex.output))
-    }
-
-    /// Like `run`, but validates both operands under `validation` first.
-    ///
-    /// Thin wrapper over [`Accelerator::execute`]; prefer
-    /// `execute(ExecutionRequest::new(a, b).dataflow(dataflow).validated(*validation))`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Validation`] when an operand fails validation, plus
-    /// everything the fixed-dataflow execution can return.
-    #[deprecated(
-        note = "use `execute(ExecutionRequest::new(a, b).dataflow(dataflow).validated(validation))`"
-    )]
-    fn try_run(
-        &self,
-        a: &CompressedMatrix,
-        b: &CompressedMatrix,
-        dataflow: Dataflow,
-        validation: &ValidationConfig,
-    ) -> Result<RunOutput> {
-        self.execute(
-            ExecutionRequest::new(a, b)
-                .dataflow(dataflow)
-                .validated(*validation),
-        )
-        .map(|ex| ex.output)
-    }
-
-    /// Like `run_strategy`, but validates both operands under `validation`
-    /// first.
-    ///
-    /// Thin wrapper over [`Accelerator::execute`]; prefer
-    /// `execute(ExecutionRequest::new(a, b).strategy(strategy).validated(*validation))`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Validation`] when an operand fails validation, plus
-    /// everything the strategy execution can return.
-    #[deprecated(
-        note = "use `execute(ExecutionRequest::new(a, b).strategy(strategy).validated(validation))`"
-    )]
-    fn try_run_strategy(
-        &self,
-        a: &CompressedMatrix,
-        b: &CompressedMatrix,
-        strategy: MappingStrategy,
-        validation: &ValidationConfig,
-    ) -> Result<(Dataflow, RunOutput)> {
-        self.execute(
-            ExecutionRequest::new(a, b)
-                .strategy(strategy)
-                .validated(*validation),
-        )
-        .map(|ex| (ex.dataflow, ex.output))
-    }
-
-    /// Runs every supported dataflow and returns the fastest result.
-    ///
-    /// This is the oracle selection the paper uses to drive Flexagon's
-    /// per-layer configuration (equivalent to [`Accelerator::execute`]
-    /// with [`MappingStrategy::Oracle`], without reporting the winning
-    /// dataflow).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first execution error encountered.
-    fn run_best(&self, a: &CompressedMatrix, b: &CompressedMatrix) -> Result<RunOutput> {
-        self.execute(ExecutionRequest::new(a, b).strategy(MappingStrategy::Oracle))
-            .map(|ex| ex.output)
-    }
 }
 
 macro_rules! fixed_accelerator {
@@ -370,9 +245,6 @@ macro_rules! fixed_accelerator {
         #[derive(Debug, Clone)]
         pub struct $name {
             cfg: AcceleratorConfig,
-            /// Reusable execution workspaces (cloning yields a fresh pool —
-            /// pooled scratch is a pure cache).
-            workspaces: WorkspacePool,
         }
 
         impl $name {
@@ -380,10 +252,7 @@ macro_rules! fixed_accelerator {
             /// memory hierarchy is adjusted to this design's sizing.
             pub fn new(mut cfg: AcceleratorConfig) -> Self {
                 cfg.memory = $memory(cfg.memory);
-                Self {
-                    cfg,
-                    workspaces: WorkspacePool::new(),
-                }
+                Self { cfg }
             }
 
             /// Creates the accelerator with the paper's Table 5 parameters.
@@ -403,10 +272,6 @@ macro_rules! fixed_accelerator {
 
             fn supported_dataflows(&self) -> &[Dataflow] {
                 &$dataflows
-            }
-
-            fn workspaces(&self) -> Option<&WorkspacePool> {
-                Some(&self.workspaces)
             }
         }
 
@@ -460,20 +325,6 @@ fixed_accelerator!(
     }
 );
 
-impl Flexagon {
-    /// Runs `a x b` with the dataflow chosen by the heuristic mapper
-    /// (no oracle sweep); shorthand for [`Accelerator::execute`] with
-    /// [`MappingStrategy::Heuristic`] (the request default).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn run_mapped(&self, a: &CompressedMatrix, b: &CompressedMatrix) -> Result<RunOutput> {
-        self.execute(ExecutionRequest::new(a, b))
-            .map(|ex| ex.output)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,17 +355,17 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated grid must stay correct
     fn baselines_reject_foreign_dataflows() {
         let sigma = SigmaLike::with_defaults();
         let a = CompressedMatrix::zero(2, 2, flexagon_sparse::MajorOrder::Row);
         let b = CompressedMatrix::zero(2, 2, flexagon_sparse::MajorOrder::Row);
-        let err = sigma.run(&a, &b, Dataflow::GustavsonM).unwrap_err();
+        let err = sigma
+            .execute(ExecutionRequest::new(&a, &b).dataflow(Dataflow::GustavsonM))
+            .unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedDataflow { .. }));
     }
 
     #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated grid must stay correct
     fn fixed_strategy_matches_direct_run() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
@@ -524,16 +375,18 @@ mod tests {
             flexagon_sparse::gen::random(24, 24, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
         let f = Flexagon::with_defaults();
         for df in Dataflow::ALL {
-            let (chosen, out) = f.run_strategy(&a, &b, MappingStrategy::Fixed(df)).unwrap();
-            let direct = f.run(&a, &b, df).unwrap();
-            assert_eq!(chosen, df);
-            assert_eq!(out.c, direct.c);
-            assert_eq!(out.report.total_cycles, direct.report.total_cycles);
+            let ex = f
+                .execute(ExecutionRequest::new(&a, &b).dataflow(df))
+                .unwrap();
+            let (c, report) =
+                engine::execute(f.config(), &a, &b, df, &CancelToken::never()).unwrap();
+            assert_eq!(ex.dataflow, df);
+            assert_eq!(ex.output.c, c);
+            assert_eq!(ex.output.report.total_cycles, report.total_cycles);
         }
     }
 
     #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated grid must stay correct
     fn oracle_strategy_matches_run_best() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
@@ -542,14 +395,27 @@ mod tests {
         let b =
             flexagon_sparse::gen::random(32, 24, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
         let f = Flexagon::with_defaults();
-        let (df, out) = f.run_strategy(&a, &b, MappingStrategy::Oracle).unwrap();
-        let best = f.run_best(&a, &b).unwrap();
-        assert_eq!(out.report.total_cycles, best.report.total_cycles);
-        assert_eq!(df, out.report.dataflow);
+        let ex = f
+            .execute(ExecutionRequest::new(&a, &b).strategy(MappingStrategy::Oracle))
+            .unwrap();
+        // The oracle keeps the fastest of every supported dataflow.
+        let best = f
+            .supported_dataflows()
+            .iter()
+            .map(|&df| {
+                f.execute(ExecutionRequest::new(&a, &b).dataflow(df))
+                    .unwrap()
+                    .output
+                    .report
+                    .total_cycles
+            })
+            .min()
+            .unwrap();
+        assert_eq!(ex.output.report.total_cycles, best);
+        assert_eq!(ex.dataflow, ex.output.report.dataflow);
     }
 
     #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated grid must stay correct
     fn heuristic_strategy_picks_a_supported_dataflow() {
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
@@ -558,43 +424,11 @@ mod tests {
         let b =
             flexagon_sparse::gen::random(24, 24, 0.4, flexagon_sparse::MajorOrder::Row, &mut rng);
         let sigma = SigmaLike::with_defaults();
-        let (df, out) = sigma
-            .run_strategy(&a, &b, MappingStrategy::Heuristic)
+        let ex = sigma
+            .execute(ExecutionRequest::new(&a, &b).strategy(MappingStrategy::Heuristic))
             .unwrap();
-        assert!(sigma.supported_dataflows().contains(&df));
-        assert_eq!(out.report.dataflow, df);
-    }
-
-    #[test]
-    #[allow(deprecated)] // wrapper coverage: the deprecated grid must stay correct
-    fn try_run_rejects_invalid_operands_and_matches_run_on_valid() {
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(14);
-        let a =
-            flexagon_sparse::gen::random(16, 16, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
-        let b =
-            flexagon_sparse::gen::random(16, 16, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
-        let f = Flexagon::with_defaults();
-        let cfg = flexagon_sparse::ValidationConfig::untrusted();
-        let out = f.try_run(&a, &b, Dataflow::GustavsonM, &cfg).unwrap();
-        assert_eq!(out.c, f.run(&a, &b, Dataflow::GustavsonM).unwrap().c);
-
-        // An Inf operand passes `run` but is refused at the try_ boundary.
-        let poisoned = CompressedMatrix::from_triplets(
-            16,
-            16,
-            &[(0, 0, f32::INFINITY)],
-            flexagon_sparse::MajorOrder::Row,
-        )
-        .unwrap();
-        let err = f
-            .try_run(&a, &poisoned, Dataflow::GustavsonM, &cfg)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Validation(_)));
-        let err = f
-            .try_run_strategy(&poisoned, &b, MappingStrategy::Heuristic, &cfg)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Validation(_)));
+        assert!(sigma.supported_dataflows().contains(&ex.dataflow));
+        assert_eq!(ex.output.report.dataflow, ex.dataflow);
     }
 
     #[test]
@@ -738,12 +572,52 @@ mod tests {
     }
 
     #[test]
+    fn try_run_rejects_invalid_operands_and_matches_run_on_valid() {
+        // The validated request is the checked ("try") entry point: valid
+        // operands run exactly as unvalidated, and an Inf operand is refused
+        // whichever strategy the request carries.
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(14);
+        let a =
+            flexagon_sparse::gen::random(16, 16, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
+        let b =
+            flexagon_sparse::gen::random(16, 16, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
+        let f = Flexagon::with_defaults();
+        let untrusted = flexagon_sparse::ValidationConfig::untrusted();
+        let req = ExecutionRequest::new(&a, &b).dataflow(Dataflow::GustavsonM);
+        let checked = f.execute(req.clone().validated(untrusted)).unwrap();
+        assert_eq!(checked.output.c, f.execute(req).unwrap().output.c);
+
+        let inf = CompressedMatrix::from_triplets(
+            16,
+            16,
+            &[(0, 0, f32::INFINITY)],
+            flexagon_sparse::MajorOrder::Row,
+        )
+        .unwrap();
+        for (x, y, strategy) in [
+            (&a, &inf, MappingStrategy::Fixed(Dataflow::GustavsonM)),
+            (&inf, &b, MappingStrategy::Heuristic),
+        ] {
+            let err = f
+                .execute(
+                    ExecutionRequest::new(x, y)
+                        .strategy(strategy)
+                        .validated(untrusted),
+                )
+                .unwrap_err();
+            assert!(matches!(err, CoreError::Validation(_)), "{strategy:?}");
+        }
+    }
+
+    #[test]
     fn execute_validates_when_asked() {
         let f = Flexagon::with_defaults();
+        let untrusted = flexagon_sparse::ValidationConfig::untrusted();
         let good =
             CompressedMatrix::from_triplets(2, 2, &[(0, 0, 1.0)], flexagon_sparse::MajorOrder::Row)
                 .unwrap();
-        let poisoned = CompressedMatrix::from_triplets(
+        let nan = CompressedMatrix::from_triplets(
             2,
             2,
             &[(0, 0, f32::NAN)],
@@ -752,14 +626,20 @@ mod tests {
         .unwrap();
         // Without validation the NaN operand executes; with the untrusted
         // policy it is refused before the engine sees it.
-        f.execute(ExecutionRequest::new(&good, &poisoned)).unwrap();
-        let err = f
-            .execute(
-                ExecutionRequest::new(&good, &poisoned)
-                    .validated(flexagon_sparse::ValidationConfig::untrusted()),
-            )
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Validation(_)));
+        f.execute(ExecutionRequest::new(&good, &nan)).unwrap();
+        for (x, y, strategy) in [
+            (&good, &nan, MappingStrategy::Heuristic),
+            (&nan, &good, MappingStrategy::Fixed(Dataflow::InnerProductM)),
+        ] {
+            let err = f
+                .execute(
+                    ExecutionRequest::new(x, y)
+                        .strategy(strategy)
+                        .validated(untrusted),
+                )
+                .unwrap_err();
+            assert!(matches!(err, CoreError::Validation(_)), "{strategy:?}");
+        }
     }
 
     #[test]

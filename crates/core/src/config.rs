@@ -7,23 +7,6 @@ use flexagon_sim::Cycle;
 use flexagon_sparse::{AccumConfig, FiberFormat};
 use serde::{Deserialize, Serialize};
 
-/// SIMD policy for the engine's kernel layer (the `vendor/simd` shim).
-///
-/// Every vectorized kernel is bit-identical to its scalar twin, so this
-/// knob never changes a result — only which instruction sequence computes
-/// it. It exists for A/B measurement and for pinning CI legs to the
-/// fallback; the `FLEXAGON_SIMD=off` environment variable forces scalar
-/// regardless of this setting (the env read is process-wide and wins).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SimdMode {
-    /// Use the best runtime-detected vector path (AVX2/NEON), falling back
-    /// to scalar on machines without one.
-    #[default]
-    Auto,
-    /// Force the scalar kernels everywhere.
-    Scalar,
-}
-
 /// Thresholds steering the engine's adaptive software paths.
 ///
 /// These do not model hardware — the cycle and traffic accounting is
@@ -58,10 +41,6 @@ pub struct EngineConfig {
     /// [`EngineConfig::shard_grain_nnz`] is set). Values above the core
     /// count oversubscribe, like rayon's global pool.
     pub shard_workers: usize,
-    /// SIMD policy for the kernel layer. [`SimdMode::Auto`] (the default)
-    /// takes the runtime-detected vector paths; [`SimdMode::Scalar`] forces
-    /// the scalar twins. Results are bit-identical either way.
-    pub simd: SimdMode,
     /// Fiber storage format the engine stages its operands through
     /// ([`FiberFormat::Soa`] by default — the baseline, no staging at
     /// all). Lossless formats are result-transparent: encode → decode
@@ -139,7 +118,6 @@ impl Default for EngineConfig {
             indexed_max_acc_elements: Self::DEFAULT_INDEXED_MAX_ACC_ELEMENTS,
             shard_grain_nnz: Self::DEFAULT_SHARD_GRAIN_NNZ,
             shard_workers: Self::DEFAULT_SHARD_WORKERS,
-            simd: SimdMode::default(),
             format: Self::DEFAULT_FORMAT,
             accum: AccumConfig::default(),
             mapper: MapperCalibration::calibrated(),
@@ -260,7 +238,6 @@ mod tests {
             e.indexed_max_acc_elements,
             EngineConfig::DEFAULT_INDEXED_MAX_ACC_ELEMENTS
         );
-        assert_eq!(e.simd, SimdMode::Auto);
         assert_eq!(e.format, EngineConfig::DEFAULT_FORMAT);
         assert_eq!(e.format, FiberFormat::Soa);
         assert_eq!(

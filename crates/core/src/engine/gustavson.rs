@@ -16,37 +16,35 @@
 //! [`RowAccum`](flexagon_sparse::RowAccum) in stationary order (the merge
 //! tree's tie-break order), and the MRN charges the identical pass model
 //! against the drained length. Split rows collect their per-chunk fibers
-//! in sorted-run accumulators checked out of the workspace pool across
-//! tiles while ghost PSRAM chains model the chunk buffering; rows split
-//! into more chunks than one tree pass could merge (beyond the MRN radix)
-//! keep the fully materialized legacy path, so multi-pass merge accounting
-//! stays exact.
+//! in sorted-run accumulators, recycled through a free list across the
+//! band's tiles, while ghost PSRAM chains model the chunk buffering; rows
+//! split into more chunks than one tree pass could merge (beyond the MRN
+//! radix) keep the fully materialized legacy path, so multi-pass merge
+//! accounting stays exact.
 
-use super::workspace::EngineWorkspace;
 use super::{tiling, Engine};
 use flexagon_sim::{bottleneck, Phase};
 use flexagon_sparse::{Fiber, FiberView, RowAccum};
 
-pub(super) fn run(e: &mut Engine<'_>, ws: &mut EngineWorkspace) {
+pub(super) fn run(e: &mut Engine<'_>) {
     let band_rows = (e.band.end - e.band.start) as usize;
     let base = e.band.start;
-    ws.reset_band_rows(band_rows);
-    let EngineWorkspace {
-        row_plan,
-        pool,
-        free,
-        accum_of,
-        cluster_acc,
-        ..
-    } = ws;
-    tiling::plan_rows(e.a, e.cfg.multipliers, e.band.clone(), row_plan);
+    let mut row_plan = tiling::RowPlan::default();
+    tiling::plan_rows(e.a, e.cfg.multipliers, e.band.clone(), &mut row_plan);
     let (a, b) = (e.a, e.b);
     let radix = e.mrn.max_radix() as u32;
+    // Split-row run collectors, recycled through `free`; band row -> `pool`
+    // index (`u32::MAX` when unassigned). `cluster_acc` is the in-flight
+    // cluster's accumulator.
+    let mut pool: Vec<RowAccum> = Vec::new();
+    let mut free: Vec<u32> = Vec::new();
+    let mut accum_of = vec![u32::MAX; band_rows];
+    let mut cluster_acc = RowAccum::new();
 
     for tile in row_plan.tiles() {
         // Tile boundary: a fired token stops before the next tile streams.
         // The early return skips the end-of-run drain asserts below — the
-        // band's workspace is discarded by `execute`, never recycled.
+        // band is dropped by `execute`.
         if e.is_cancelled() {
             return;
         }

@@ -34,10 +34,9 @@
 //! Every path visits the matches of a given (cluster, streaming fiber) pair
 //! in ascending k, so each accumulator register receives its additions in
 //! the exact order of the original scan and execution reports stay
-//! bit-identical across strategies. All scratch state lives in the
-//! [`EngineWorkspace`], so a steady-state execution allocates nothing.
+//! bit-identical across strategies. Each tile loop allocates its scratch
+//! once per band and keeps it clean across the band's tiles.
 
-use super::workspace::EngineWorkspace;
 use super::{tiling, Engine, IpShared};
 use flexagon_sim::{bottleneck, Phase};
 use flexagon_sparse::{CompressedMatrix, Element, Fiber, MatrixIndex, MatrixView, Value};
@@ -46,59 +45,26 @@ use std::collections::HashMap;
 /// Cross-tile accumulators for rows split into multiple chunks.
 type SplitAcc = HashMap<u32, HashMap<u32, Value>>;
 
-pub(super) fn run(e: &mut Engine<'_>, ws: &mut EngineWorkspace, shared: &IpShared) {
-    let k_dim = e.a.cols() as usize;
-    let n_dim = e.b.major_dim() as usize;
-    ws.reset_k(k_dim);
-    if matches!(shared, IpShared::Indexed(_)) {
-        ws.reset_grid(e.cfg.multipliers as usize, n_dim);
-    }
-    let EngineWorkspace {
-        row_plan,
-        k_entries,
-        k_mask,
-        touched_k,
-        grid_acc,
-        grid_hit,
-        injected_n,
-        delivered_n,
-        cl_acc,
-        cl_hit,
-        hit_list,
-        split_acc,
-        ..
-    } = ws;
-    tiling::plan_rows(e.a, e.cfg.multipliers, e.band.clone(), row_plan);
+pub(super) fn run(e: &mut Engine<'_>, shared: &IpShared) {
+    let mut plan = tiling::RowPlan::default();
+    tiling::plan_rows(e.a, e.cfg.multipliers, e.band.clone(), &mut plan);
+    let mut split_acc = SplitAcc::new();
     match shared {
-        IpShared::Indexed(b_by_k) => run_indexed(
-            e,
-            row_plan,
-            b_by_k,
-            k_entries,
-            touched_k,
-            grid_acc,
-            grid_hit,
-            injected_n,
-            delivered_n,
-            split_acc,
-        ),
-        IpShared::Streaming(b_index) => run_streaming(
-            e, row_plan, b_index, k_entries, k_mask, touched_k, cl_acc, cl_hit, hit_list, split_acc,
-        ),
+        IpShared::Indexed(b_by_k) => run_indexed(e, &plan, b_by_k, &mut split_acc),
+        IpShared::Streaming(b_index) => run_streaming(e, &plan, b_index, &mut split_acc),
     }
     // A cancelled tile loop leaves nothing worth assembling: the band is
-    // discarded wholesale by `execute`.
+    // dropped wholesale by `execute`.
     if e.is_cancelled() {
         return;
     }
 
     // Assemble rows that accumulated across tiles. Their elements were held
     // in the cluster output registers, so only the final store is charged.
-    let mut split_rows: Vec<u32> = split_acc.keys().copied().collect();
-    split_rows.sort_unstable();
+    let mut split_rows: Vec<(u32, HashMap<u32, Value>)> = split_acc.into_iter().collect();
+    split_rows.sort_unstable_by_key(|&(row, _)| row);
     let mut split_elems = 0u64;
-    for row in split_rows {
-        let entries = split_acc.remove(&row).expect("key from map");
+    for (row, entries) in split_rows {
         let fiber: Fiber = entries
             .into_iter()
             .map(|(n, v)| Element::new(n, v))
@@ -162,22 +128,25 @@ fn emit_dot(
 
 /// The k-indexed tile loop: probe B through its row index, touching only the
 /// rows the tile holds stationary.
-#[allow(clippy::too_many_arguments)]
 fn run_indexed(
     e: &mut Engine<'_>,
     plan: &tiling::RowPlan,
     b_by_k: &CompressedMatrix,
-    k_entries: &mut [Vec<(u32, Value)>],
-    touched_k: &mut Vec<u32>,
-    acc: &mut [Value],
-    hit: &mut [u64],
-    injected_n: &mut [u32],
-    delivered_n: &mut [u64],
     split_acc: &mut SplitAcc,
 ) {
     let (a, b) = (e.a, e.b);
     let n_dim = b.major_dim() as usize;
     let n_words = n_dim.div_ceil(64);
+    let slots = e.cfg.multipliers as usize;
+    // k -> entries table, cleared by the tile that filled it; the dense
+    // `clusters x N` accumulator grid and its hit bits, swept clean by the
+    // emission pass; per-column tallies, reset by the accounting sweep.
+    let mut k_entries = vec![Vec::new(); a.cols() as usize];
+    let mut touched_k = Vec::new();
+    let mut acc: Vec<Value> = vec![0.0; slots * n_dim];
+    let mut hit = vec![0u64; slots * n_words];
+    let mut injected_n = vec![0u32; n_dim];
+    let mut delivered_n = vec![0u64; n_dim];
 
     for tile in plan.tiles() {
         // Tile boundary: a fired token stops before the next tile streams.
@@ -186,7 +155,7 @@ fn run_indexed(
         }
         e.stationary_phase(tiling::slots_used(tile));
 
-        index_tile(a, tile, k_entries, touched_k);
+        index_tile(a, tile, &mut k_entries, &mut touched_k);
 
         // Intersection phase: only the stationary ks' rows of B are read.
         for &k in touched_k.iter() {
@@ -255,21 +224,25 @@ fn run_indexed(
 
 /// The streaming tile loop: every fiber of B flows past each tile, and each
 /// fiber is intersected from its cheaper side.
-#[allow(clippy::too_many_arguments)]
 fn run_streaming(
     e: &mut Engine<'_>,
     plan: &tiling::RowPlan,
     b_index: &MatrixIndex,
-    k_entries: &mut [Vec<(u32, Value)>],
-    k_mask: &mut [u64],
-    touched_k: &mut Vec<u32>,
-    acc: &mut Vec<Value>,
-    hit: &mut Vec<bool>,
-    hit_list: &mut Vec<u32>,
     split_acc: &mut SplitAcc,
 ) {
     let (a, b) = (e.a, e.b);
     let probe_gate_factor = e.cfg.engine.probe_gate_factor;
+    let k_dim = a.cols() as usize;
+    let slots = e.cfg.multipliers as usize;
+    // k -> entries table and one-bit-per-k mask, both cleared by the tile
+    // that filled them; per-cluster dot accumulators and hit flags, reset
+    // as each column's dot products are emitted.
+    let mut k_entries = vec![Vec::new(); k_dim];
+    let mut k_mask = vec![0u64; k_dim.div_ceil(64)];
+    let mut touched_k = Vec::new();
+    let mut acc: Vec<Value> = vec![0.0; slots];
+    let mut hit = vec![false; slots];
+    let mut hit_list: Vec<u32> = Vec::new();
 
     for tile in plan.tiles() {
         // Tile boundary: a fired token stops before the next tile streams.
@@ -279,7 +252,7 @@ fn run_streaming(
         e.stationary_phase(tiling::slots_used(tile));
 
         // Index this tile's stationary coordinates and set the scan mask.
-        index_tile(a, tile, k_entries, touched_k);
+        index_tile(a, tile, &mut k_entries, &mut touched_k);
         for &k in touched_k.iter() {
             k_mask[(k >> 6) as usize] |= 1u64 << (k & 63);
         }
@@ -290,10 +263,6 @@ fn run_streaming(
 
         // Streaming phase: the whole of B flows past this tile once.
         let mut streaming = 0u64;
-        acc.clear();
-        acc.resize(tile.len(), 0.0);
-        hit.clear();
-        hit.resize(tile.len(), false);
         let mut injected_tile = 0u64;
         let mut delivered_tile = 0u64;
         let mut final_elems = 0u64;

@@ -37,7 +37,6 @@ mod gustavson;
 mod inner_product;
 mod outer_product;
 pub(crate) mod tiling;
-pub(crate) mod workspace;
 
 use crate::{
     AcceleratorConfig, CancelToken, CoreError, Dataflow, DataflowClass, ExecutionReport, Result,
@@ -56,7 +55,6 @@ use flexagon_sparse::{
 };
 use rayon::prelude::*;
 use std::ops::Range;
-use workspace::{EngineWorkspace, WorkspaceGuard, WorkspacePool};
 
 /// Precomputed per-execution state shared read-only by every band of an
 /// Inner-Product run: the streaming operand's k-major copy (k-indexed tile
@@ -73,15 +71,13 @@ enum IpShared {
 /// Runs `a x b` under `dataflow` on the given configuration, returning the
 /// output matrix (in the dataflow's natural format) and the report.
 ///
-/// `pool` supplies reusable execution workspaces; `None` falls back to a
-/// throwaway workspace per band. `cancel` is polled cooperatively at
-/// band, tile and merge-pass boundaries: once it fires the run unwinds
-/// with [`CoreError::DeadlineExceeded`] and no partial result escapes.
-/// An unarmed token is result-transparent — outputs and reports are
+/// `cancel` is polled cooperatively at band, tile and merge-pass
+/// boundaries: once it fires the run unwinds with
+/// [`CoreError::DeadlineExceeded`] and no partial result escapes. An
+/// unarmed token is result-transparent — outputs and reports are
 /// byte-identical to a run without it.
 pub(crate) fn execute(
     cfg: &AcceleratorConfig,
-    pool: Option<&WorkspacePool>,
     a: &CompressedMatrix,
     b: &CompressedMatrix,
     dataflow: Dataflow,
@@ -89,11 +85,6 @@ pub(crate) fn execute(
 ) -> Result<(CompressedMatrix, ExecutionReport)> {
     cfg.assert_valid();
     cancel.check()?;
-    // Apply the SIMD policy before any kernel runs. The toggle is
-    // process-global (kernels are bit-identical either way, so a concurrent
-    // execution under a different policy changes speed, never results), and
-    // `FLEXAGON_SIMD=off` in the environment wins over this knob.
-    simd::set_scalar_only(matches!(cfg.engine.simd, crate::config::SimdMode::Scalar));
     // Format staging: re-encode the operands through the configured fiber
     // storage format and decode them back before execution. For lossless
     // formats the decode reproduces the operand bit for bit, so outputs
@@ -170,34 +161,23 @@ pub(crate) fn execute(
         // Band boundary: a fired token stops before any further band
         // starts (concurrent bands observe the shared latch together).
         cancel.check()?;
-        let band = bands[bi].clone();
-        let mut guard = match pool {
-            Some(p) => p.acquire(),
-            None => WorkspaceGuard::detached(),
-        };
-        let ws = &mut *guard;
-        let mut engine = Engine::new(cfg, a_eff, b_eff, band, ws, cancel);
+        let mut engine = Engine::new(cfg, a_eff, b_eff, bands[bi].clone(), cancel);
         match class {
             DataflowClass::InnerProduct => {
-                inner_product::run(&mut engine, ws, shared.as_ref().expect("precomputed"))
+                inner_product::run(&mut engine, shared.as_ref().expect("precomputed"))
             }
-            DataflowClass::OuterProduct => outer_product::run(
-                &mut engine,
-                ws,
-                op_buckets.as_ref().map(|b| b[bi].as_slice()),
-            ),
-            DataflowClass::Gustavson => gustavson::run(&mut engine, ws),
+            DataflowClass::OuterProduct => {
+                outer_product::run(&mut engine, op_buckets.as_ref().map(|b| b[bi].as_slice()))
+            }
+            DataflowClass::Gustavson => gustavson::run(&mut engine),
         }
         if cancel.is_cancelled() {
             // The phase loop bailed mid-run (or the deadline passed at the
-            // finish line): the band's fibers are incomplete and the
-            // workspace's drain invariants don't hold, so the arena is
-            // discarded rather than recycled.
-            drop(engine);
-            guard.discard();
+            // finish line): the band's fibers are incomplete, and the band
+            // drops with all of its scratch.
             return Err(CoreError::DeadlineExceeded);
         }
-        Ok(engine.into_outcome(ws))
+        Ok(engine.into_outcome())
     };
     let outcomes: Vec<BandOutcome> = if bands.len() <= 1 || cfg.engine.shard_workers <= 1 {
         (0..bands.len())
@@ -394,7 +374,8 @@ fn assemble(
 
 /// Execution context for one band: configuration, operand views (already
 /// M-stationary oriented), the band's simulated hardware, and accumulating
-/// results.
+/// results. Everything here, scratch included, lives exactly as long as
+/// the band.
 pub(crate) struct Engine<'a> {
     pub cfg: &'a AcceleratorConfig,
     /// Stationary operand (CSR for IP/Gust, CSC for OP), borrowed.
@@ -415,11 +396,11 @@ pub(crate) struct Engine<'a> {
     pub counters: CounterSet,
     /// Output fibers per band row (`out_fibers[row - band.start]`).
     pub out_fibers: Vec<Fiber>,
-    /// Reusable scaled-fiber pool for the streaming phases, borrowed from
-    /// the workspace for the duration of the band.
+    /// Scaled-fiber staging pool for the streaming phases, reused across
+    /// the band's tiles.
     pub scaled_pool: Vec<Fiber>,
-    /// Reusable accumulator backing the merge passes of
-    /// [`Engine::merge_row_fibers`], borrowed from the workspace.
+    /// Accumulator backing the merge passes of
+    /// [`Engine::merge_row_fibers`], reused across the band's rows.
     pub merge_acc: RowAccum,
     pub tiles_run: u64,
     /// Shared cancellation handle, polled at tile and merge-pass
@@ -444,7 +425,6 @@ impl<'a> Engine<'a> {
         a: MatrixView<'a>,
         b: MatrixView<'a>,
         band: Range<u32>,
-        ws: &mut EngineWorkspace,
         cancel: &'a CancelToken,
     ) -> Self {
         let band_rows = (band.end - band.start) as usize;
@@ -472,8 +452,8 @@ impl<'a> Engine<'a> {
             phases: PhaseClock::new(),
             counters: CounterSet::new(),
             out_fibers: vec![Fiber::new(); band_rows],
-            scaled_pool: std::mem::take(&mut ws.scaled_pool),
-            merge_acc: std::mem::take(&mut ws.merge_acc),
+            scaled_pool: Vec::new(),
+            merge_acc: RowAccum::new(),
             tiles_run: 0,
             cancel,
         }
@@ -608,11 +588,8 @@ impl<'a> Engine<'a> {
         self.out_fibers[idx] = fiber;
     }
 
-    /// Tears the band down into its outcome, returning the borrowed
-    /// workspace buffers.
-    pub(crate) fn into_outcome(mut self, ws: &mut EngineWorkspace) -> BandOutcome {
-        ws.scaled_pool = std::mem::take(&mut self.scaled_pool);
-        ws.merge_acc = std::mem::take(&mut self.merge_acc);
+    /// Tears the band down into its outcome.
+    pub(crate) fn into_outcome(mut self) -> BandOutcome {
         let fibers = std::mem::take(&mut self.out_fibers);
         let (uni, multi, broad) = self.dn.cast_counts();
         self.counters.add("dn.unicasts", uni);
@@ -669,6 +646,7 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Accelerator, ExecutionRequest, Flexagon};
     use flexagon_sparse::gen;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -730,7 +708,7 @@ mod tests {
                 .iter()
                 .map(|&df| {
                     let (c, report) =
-                        execute(&cfg, None, &a, &b, df, &CancelToken::never()).expect("run");
+                        execute(&cfg, &a, &b, df, &CancelToken::never()).expect("run");
                     format!(
                         "{}{}",
                         serde_json::to_string(&report).unwrap(),
@@ -761,8 +739,8 @@ mod tests {
         let mut cfg1 = AcceleratorConfig::tiny();
         cfg1.engine = cfg1.engine.sharded(1 << 30, 4);
         for df in Dataflow::ALL {
-            let (c0, r0) = execute(&cfg0, None, &a, &b, df, &CancelToken::never()).expect("run");
-            let (c1, r1) = execute(&cfg1, None, &a, &b, df, &CancelToken::never()).expect("run");
+            let (c0, r0) = execute(&cfg0, &a, &b, df, &CancelToken::never()).expect("run");
+            let (c1, r1) = execute(&cfg1, &a, &b, df, &CancelToken::never()).expect("run");
             assert_eq!(c0, c1);
             assert_eq!(
                 serde_json::to_string(&r0).unwrap(),
@@ -778,24 +756,31 @@ mod tests {
         cancelled.cancel();
         let cfg = AcceleratorConfig::tiny();
         for df in Dataflow::ALL {
-            let err = execute(&cfg, None, &a, &b, df, &cancelled).unwrap_err();
+            let err = execute(&cfg, &a, &b, df, &cancelled).unwrap_err();
             assert!(matches!(err, CoreError::DeadlineExceeded), "{df}");
         }
-        // Sharded multi-band path bails too, and a pool never receives a
-        // dirty workspace from a cancelled run.
-        let pool = WorkspacePool::new();
+        // The sharded multi-band path bails too and leaves nothing behind:
+        // a clean run right after a cancelled one on the same accelerator
+        // equals a run on a fresh accelerator.
         let mut sharded = AcceleratorConfig::tiny();
         sharded.engine = sharded.engine.sharded(20, 3);
+        let accel = Flexagon::new(sharded);
         for df in Dataflow::ALL {
-            let err = execute(&sharded, Some(&pool), &a, &b, df, &cancelled).unwrap_err();
+            let req = || ExecutionRequest::new(&a, &b).dataflow(df);
+            let err = accel
+                .execute(req().cancel_token(cancelled.clone()))
+                .unwrap_err();
             assert!(matches!(err, CoreError::DeadlineExceeded), "{df} sharded");
-        }
-        // The same pool still serves clean runs afterwards.
-        for df in Dataflow::ALL {
-            let (c, _) = execute(&sharded, Some(&pool), &a, &b, df, &CancelToken::never())
-                .expect("pool unaffected by cancelled runs");
-            let (c_ref, _) = execute(&sharded, None, &a, &b, df, &CancelToken::never()).unwrap();
-            assert_eq!(c, c_ref, "{df}");
+            let after = accel
+                .execute(req())
+                .expect("clean run after a cancelled one");
+            let fresh = Flexagon::new(sharded).execute(req()).unwrap();
+            assert_eq!(after.output.c, fresh.output.c, "{df}");
+            assert_eq!(
+                serde_json::to_string(&after.output.report).unwrap(),
+                serde_json::to_string(&fresh.output.report).unwrap(),
+                "{df}"
+            );
         }
     }
 
@@ -807,8 +792,8 @@ mod tests {
         cfg.engine = cfg.engine.sharded(25, 2);
         let far = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         for df in Dataflow::ALL {
-            let (c0, r0) = execute(&cfg, None, &a, &b, df, &CancelToken::never()).unwrap();
-            let (c1, r1) = execute(&cfg, None, &a, &b, df, &far).unwrap();
+            let (c0, r0) = execute(&cfg, &a, &b, df, &CancelToken::never()).unwrap();
+            let (c1, r1) = execute(&cfg, &a, &b, df, &far).unwrap();
             assert_eq!(c0, c1, "{df}");
             assert_eq!(
                 serde_json::to_string(&r0).unwrap(),
@@ -816,29 +801,5 @@ mod tests {
                 "{df}"
             );
         }
-    }
-
-    #[test]
-    fn workspace_reuse_is_invisible() {
-        // Running the same case twice through one pool must be bit-identical
-        // (a dirty workspace must never leak into results), across all
-        // dataflows and a sharded config.
-        let (a, b) = mats(7);
-        let pool = WorkspacePool::new();
-        let mut cfg = AcceleratorConfig::tiny();
-        cfg.engine = cfg.engine.sharded(30, 2);
-        for df in Dataflow::ALL {
-            let (c0, r0) =
-                execute(&cfg, Some(&pool), &a, &b, df, &CancelToken::never()).expect("run");
-            let (c1, r1) =
-                execute(&cfg, Some(&pool), &a, &b, df, &CancelToken::never()).expect("run");
-            assert_eq!(c0, c1, "{df}");
-            assert_eq!(
-                serde_json::to_string(&r0).unwrap(),
-                serde_json::to_string(&r1).unwrap(),
-                "{df}"
-            );
-        }
-        assert!(pool.idle() >= 1, "workspaces returned to the pool");
     }
 }

@@ -18,48 +18,45 @@
 //! tiered per-row [`RowAccum`](flexagon_sparse::RowAccum) in ascending-k
 //! order — the merge tree's own tie-break order — so the drained fiber is
 //! bit-identical to the k-way merge at a fraction of the cost. The
-//! per-execute plan (tiles feeding each row, per-tile output spans) lives
-//! in the flat band-row-indexed arrays of the [`EngineWorkspace`], reused
-//! across executions.
+//! per-band plan (tiles feeding each row, per-tile output spans) lives in
+//! flat band-row-indexed arrays, and the row accumulators recycle through
+//! a free list across the band's tiles.
 
-use super::workspace::EngineWorkspace;
 use super::{tiling, Engine};
 use flexagon_sim::{bottleneck, Phase};
-use flexagon_sparse::{Fiber, Value, ELEMENT_BYTES};
+use flexagon_sparse::{Fiber, RowAccum, Value, ELEMENT_BYTES};
 
 /// `elements` carries this band's pre-bucketed `(k, row, value)` triples
 /// when the execution is multi-band (one bucketing pass at the execute
 /// level replaces per-band full scans of A); `None` plans from the operand
 /// directly — the identical plan, as the tiling tests pin.
-pub(super) fn run(
-    e: &mut Engine<'_>,
-    ws: &mut EngineWorkspace,
-    elements: Option<&[(u32, u32, Value)]>,
-) {
+pub(super) fn run(e: &mut Engine<'_>, elements: Option<&[(u32, u32, Value)]>) {
     let band_rows = (e.band.end - e.band.start) as usize;
     let base = e.band.start;
-    ws.reset_band_rows(band_rows);
-    let EngineWorkspace {
-        col_plan,
-        pool,
-        free,
-        accum_of,
-        stamp,
-        tiles_left,
-        span_lo: lo,
-        span_hi: hi,
-        span_nnz: nnz,
-        pending,
-        touched,
-        ..
-    } = ws;
+    let mut col_plan = tiling::ColPlan::default();
     match elements {
-        Some(els) => tiling::plan_cols_from_elements(els, e.cfg.multipliers, col_plan),
-        None => tiling::plan_cols(e.a, e.cfg.multipliers, e.band.clone(), col_plan),
+        Some(els) => tiling::plan_cols_from_elements(els, e.cfg.multipliers, &mut col_plan),
+        None => tiling::plan_cols(e.a, e.cfg.multipliers, e.band.clone(), &mut col_plan),
     }
     let b = e.b;
+    // Per-row accumulators, recycled through `free`; band row -> `pool`
+    // index (`u32::MAX` when unassigned).
+    let mut pool: Vec<RowAccum> = Vec::new();
+    let mut free: Vec<u32> = Vec::new();
+    let mut accum_of = vec![u32::MAX; band_rows];
+    // Per band row: last tile stamp (deduplicates `(tile, row)` pairs),
+    // tiles still owing psums, the incoming-psum span and element count of
+    // the current tile, and the DRAM-resident partial fibers.
+    let mut stamp = vec![u32::MAX; band_rows];
+    let mut tiles_left = vec![0u32; band_rows];
+    let mut lo = vec![0u32; band_rows];
+    let mut hi = vec![0u32; band_rows];
+    let mut nnz = vec![0u64; band_rows];
+    let mut pending: Vec<Vec<Fiber>> = vec![Vec::new(); band_rows];
+    // Rows the current tile feeds.
+    let mut touched: Vec<u32> = Vec::new();
 
-    // Flat tile-indexed plan, computed once per execute: how many tiles
+    // Flat tile-indexed plan, computed once per band: how many tiles
     // contribute psums to each output row. A per-row tile stamp counts each
     // (tile, row) pair exactly once without hashing.
     for (ti, tile) in col_plan.tiles().enumerate() {
@@ -117,7 +114,7 @@ pub(super) fn run(
                 continue;
             }
             let idx = free.pop().unwrap_or_else(|| {
-                pool.push(flexagon_sparse::RowAccum::new());
+                pool.push(RowAccum::new());
                 (pool.len() - 1) as u32
             });
             pool[idx as usize].begin(lo[r], hi[r], nnz[r], &e.cfg.engine.accum);

@@ -8,10 +8,9 @@
 //! the whole group.
 //!
 //! Plans are *flat*: clusters, groups and targets live in contiguous
-//! vectors with tile boundaries recorded as prefix ends. That keeps a plan
-//! fully reusable — an [`EngineWorkspace`](super::workspace::EngineWorkspace)
-//! holds one of each and replanning touches no allocator in the steady
-//! state — and makes tile iteration a slice walk.
+//! vectors with tile boundaries recorded as prefix ends, which makes tile
+//! iteration a slice walk. Planners write into a caller-owned plan,
+//! clearing it first.
 //!
 //! Every planner takes the *band* of output rows it plans for (the shard
 //! unit of the parallel engine). Planning `0..rows` reproduces the
@@ -359,7 +358,7 @@ mod tests {
     fn banded_row_plans_concatenate_to_row_coverage() {
         // Bands partition the rows; each band's plan covers exactly its
         // rows' elements, and reusing the same RowPlan buffer across bands
-        // (the workspace pattern) leaves no stale state behind.
+        // leaves no stale state behind.
         let a = csr(24, 30, 0.4, 8);
         let mut plan = RowPlan::default();
         let mut covered = 0usize;

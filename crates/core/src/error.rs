@@ -10,7 +10,7 @@ pub enum CoreError {
     /// A sparse-format defect (dimensions, ordering, bounds).
     Format(FormatError),
     /// An operand failed untrusted-input validation before reaching the
-    /// engine (the `try_run*` entry points).
+    /// engine (requests built with [`crate::ExecutionRequest::validated`]).
     Validation(ValidationError),
     /// The accelerator does not support the requested dataflow — e.g. the
     /// SIGMA-like baseline asked to run Gustavson's.

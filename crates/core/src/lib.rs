@@ -18,11 +18,11 @@
 //!   dataflow) with the fitted [`MapperCalibration`] cost-model
 //!   corrections, plus [`FormatChoice`]/[`FormatSelection`] for the
 //!   storage-format axis.
-//! * [`Accelerator::execute`] — the unified entry point: one
+//! * [`Accelerator::execute`] — the one execution entry point: an
 //!   [`ExecutionRequest`] carries strategy, format, validation and an
-//!   optional [`CancelToken`] deadline (the former
-//!   `run`/`run_strategy`/`try_run`/`try_run_strategy` grid remains as
-//!   thin deprecated wrappers).
+//!   optional [`CancelToken`] deadline. An accelerator is a plain
+//!   configuration value; every execution builds its scratch and simulated
+//!   hardware fresh, so runs never influence one another.
 //! * [`CancelToken`] — cooperative cancellation, polled at band/tile/
 //!   merge-pass boundaries; unarmed tokens are result-transparent, armed
 //!   ones surface [`CoreError::DeadlineExceeded`].
@@ -50,10 +50,9 @@ pub use accel::{
     Accelerator, Execution, ExecutionRequest, Flexagon, GammaLike, RunOutput, SigmaLike, SparchLike,
 };
 pub use cancel::CancelToken;
-pub use config::{AcceleratorConfig, EngineConfig, SimdMode};
+pub use config::{AcceleratorConfig, EngineConfig};
 pub use cpu::{CpuConfig, CpuMkl};
 pub use dataflow::{Dataflow, DataflowClass, Stationarity};
-pub use engine::workspace::WorkspacePool;
 pub use error::CoreError;
 pub use mapper::{
     ClassCalibration, FormatChoice, FormatSelection, MapperCalibration, MappingStrategy,

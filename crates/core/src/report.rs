@@ -39,8 +39,8 @@ impl TrafficReport {
 
 /// Everything measured during one SpMSpM execution.
 ///
-/// Produced by [`crate::Accelerator::run`]; aggregated across layers by the
-/// benchmark harness for the end-to-end figures.
+/// Produced by [`crate::Accelerator::execute`]; aggregated across layers
+/// by the benchmark harness for the end-to-end figures.
 #[derive(Debug, Clone, Serialize)]
 pub struct ExecutionReport {
     /// The dataflow that was executed.

@@ -17,7 +17,7 @@
 //! whole suite simulates in minutes on a laptop; the scaling is uniform and
 //! documented per model, and preserves the features that drive dataflow
 //! choice (dimension ratios, sparsity degrees, operand-size-to-cache
-//! ratios). See DESIGN.md §4.
+//! ratios). See the scaling note at the top of `src/models.rs`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

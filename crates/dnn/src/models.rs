@@ -6,7 +6,7 @@
 //! The nine representative layers of Table 6 are pinned at their exact
 //! published indices, dimensions and sparsities.
 //!
-//! Scaling note (see DESIGN.md §4): fully-connected and transformer
+//! Scaling note: fully-connected and transformer
 //! matmuls are uniformly scaled (e.g. DistilBERT hidden 768 → 256,
 //! sequence 128 → 64) so the complete suite simulates in minutes; the
 //! convolutional shapes — which produce the operand-size-to-cache ratios

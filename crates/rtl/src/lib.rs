@@ -7,7 +7,7 @@
 //! configuration reproduces Table 8 exactly, and whose scaling rules
 //! (linear datapath growth, capacity-proportional SRAM) let the harness
 //! explore other sizes (e.g. the naive-design comparison of Fig. 17 and
-//! the ablations). See DESIGN.md §4 for the substitution rationale.
+//! the ablations).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

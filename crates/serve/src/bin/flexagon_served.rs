@@ -105,21 +105,16 @@ fn parse_config() -> ServeConfig {
     // Flag wins over FLEXAGON_FAULTS so a script can override the ambient
     // environment; either way a malformed spec is a startup error, not a
     // silently-unarmed plan.
-    let plan = match faults {
-        Some(spec) => match FaultSpec::parse(&spec) {
-            Ok(s) => FaultPlan::new(s),
-            Err(e) => {
-                eprintln!("--faults: {e}");
-                usage()
-            }
-        },
-        None => match FaultPlan::from_env() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("FLEXAGON_FAULTS: {e}");
-                std::process::exit(2);
-            }
-        },
+    let (source, spec) = match faults {
+        Some(spec) => ("--faults", Some(spec)),
+        None => ("FLEXAGON_FAULTS", std::env::var("FLEXAGON_FAULTS").ok()),
+    };
+    let plan = match spec.as_deref().map(FaultSpec::parse).transpose() {
+        Ok(spec) => spec.map_or_else(FaultPlan::none, FaultPlan::new),
+        Err(e) => {
+            eprintln!("{source}: {e}");
+            usage()
+        }
     };
     if plan.enabled() {
         eprintln!("flexagon_served: FAULT INJECTION ARMED: {:?}", plan.spec());

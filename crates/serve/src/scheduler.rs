@@ -1,14 +1,14 @@
 //! The job scheduler: a bounded queue feeding a fixed worker pool.
 //!
-//! Each worker owns its accelerators (one `Flexagon` + `WorkspacePool` per
-//! effective shard-worker setting it has seen), so pooled scratch is reused
-//! across requests without cross-thread contention. Parallelism composes
-//! on two levels, exactly like the bench runner: jobs fan across workers,
-//! and each job's intra-layer shard workers are clamped to
-//! [`intra_layer_worker_budget`] of the configured thread budget over the
-//! jobs currently in flight — one lone job may use every thread, while a
-//! full pool degrades gracefully to one thread per job instead of
-//! oversubscribing.
+//! A worker builds each job's accelerator from the job's effective engine
+//! config: an accelerator is a plain config value, and every execution
+//! allocates its own scratch, so workers share nothing mutable.
+//! Parallelism composes on two levels, exactly like the bench runner: jobs
+//! fan across workers, and each job's intra-layer shard workers are
+//! clamped to [`intra_layer_worker_budget`] of the configured thread
+//! budget over the jobs currently in flight — one lone job may use every
+//! thread, while a full pool degrades gracefully to one thread per job
+//! instead of oversubscribing.
 //!
 //! None of this can change a result: the band decomposition is derived
 //! from operand structure and grain alone (never the worker count), so a
@@ -54,7 +54,7 @@ use flexagon_core::{
 use flexagon_dnn::DnnModel;
 use flexagon_sparse::{validate_matrix, CompressedMatrix, ValidationConfig};
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -341,9 +341,6 @@ impl Scheduler {
 }
 
 fn worker_loop(shared: &Shared) {
-    // One accelerator per effective shard-worker setting: the engine config
-    // differs, and each keeps its own WorkspacePool warm.
-    let mut accels: HashMap<usize, Flexagon> = HashMap::new();
     loop {
         let job = {
             let mut queue = lock_recover(&shared.queue);
@@ -412,16 +409,14 @@ fn worker_loop(shared: &Shared) {
         let eff_workers = shared.engine.shard_workers.min(budget).max(1);
         let mut engine = shared.engine;
         engine.shard_workers = eff_workers;
-        let accel = accels.entry(eff_workers).or_insert_with(|| {
-            let mut cfg = AcceleratorConfig::table5();
-            cfg.engine = engine;
-            Flexagon::new(cfg)
-        });
+        let mut cfg = AcceleratorConfig::table5();
+        cfg.engine = engine;
+        let accel = Flexagon::new(cfg);
         // Panic isolation: a job that panics — a real engine bug or an
         // injected fault — poisons only its own request. The catch keeps
-        // the worker thread alive; `AssertUnwindSafe` is sound because
-        // everything the closure touches is discarded on the Err arm
-        // (`accels` is cleared below, the job's kind is consumed).
+        // the worker thread alive; `AssertUnwindSafe` is sound because the
+        // closure mutates nothing that outlives it (the accelerator and
+        // engine config are plain values, the job's kind is consumed).
         let mut kind = job.kind;
         if degraded {
             // Overload: the oracle's six-dataflow sweep costs ~6× a single
@@ -437,16 +432,13 @@ fn worker_loop(shared: &Shared) {
             if fault.panic {
                 panic!("injected worker panic (fault plan)");
             }
-            execute(accel, &engine, kind, &cancel)
+            execute(&accel, &engine, kind, &cancel)
         }));
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
         let exec_us = duration_us(started.elapsed());
         let response = match caught {
             Ok(response) => response,
             Err(payload) => {
-                // The accelerators' pooled workspaces may be mid-update;
-                // drop them all and rebuild lazily on the next job.
-                accels.clear();
                 shared.stats.record_worker_panic(&job.tenant);
                 Response::Error {
                     code: ErrorCode::Engine,
@@ -731,7 +723,7 @@ mod tests {
             matches!(responses[2], Response::Result(_)),
             "worker must survive the panic and serve the next job"
         );
-        // The first and third jobs are identical: the rebuilt accelerator
+        // The first and third jobs are identical: the worker that panicked
         // must produce the identical digest.
         let (Response::Result(first), Response::Result(third)) = (&responses[0], &responses[2])
         else {

@@ -59,7 +59,6 @@ fn served_results_match_direct_execute_under_concurrent_clients() {
     })
     .expect("start server");
     let addr = server.local_addr().to_owned();
-    let direct = Flexagon::with_defaults();
     // Three clients, each its own operands and strategy, hammering the
     // daemon concurrently: every response must equal that client's direct
     // run, whatever order the scheduler interleaves them in.
@@ -99,7 +98,6 @@ fn served_results_match_direct_execute_under_concurrent_clients() {
     for h in handles {
         h.join().expect("client thread");
     }
-    drop(direct);
     server.shutdown();
 }
 

@@ -65,8 +65,8 @@ impl AccumConfig {
     /// tiers walk the same presence bitmap on drain and paged adds a page
     /// indirection per scatter. The gate is therefore a memory-footprint
     /// knob, not a speed crossover: 32 bounds the dense value array to
-    /// 128 bytes per expected element (the reusable-workspace pools
-    /// amortize the allocation), and [`AccumConfig::dense_max_span`]
+    /// 128 bytes per expected element (the engine recycles accumulators
+    /// across a band's tiles, which amortizes the allocation), and [`AccumConfig::dense_max_span`]
     /// still caps the absolute span. (Previous hand-tuned value: 4.)
     ///
     /// Re-derived on the SIMD build (the dense drain's run discovery and

@@ -143,11 +143,9 @@ impl FromStr for FiberFormat {
 /// The `FLEXAGON_FORMAT` environment override, read once per process.
 ///
 /// When set to a *lossless* format token it replaces the config-default
-/// format for every run that doesn't pin one explicitly — the same
-/// precedence `FLEXAGON_SIMD=off` has over the engine's `SimdMode` — so
-/// the CI format matrix can force the whole test suite through one
-/// storage tier while format-specific tests keep the format they asked
-/// for. Unknown tokens and the lossy `q8` are ignored (quantization must
+/// format for every run that doesn't pin one explicitly, so the CI format
+/// matrix can force the whole test suite through one storage tier while
+/// format-specific tests keep the format they asked for. Unknown tokens and the lossy `q8` are ignored (quantization must
 /// never be switched on ambiently).
 pub fn env_format_override() -> Option<FiberFormat> {
     static OVERRIDE: OnceLock<Option<FiberFormat>> = OnceLock::new();

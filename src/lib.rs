@@ -21,7 +21,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use flexagon::core::{Accelerator, Dataflow, Flexagon};
+//! use flexagon::core::{Accelerator, Dataflow, ExecutionRequest, Flexagon};
 //! use flexagon::sparse::{gen, MajorOrder};
 //! use rand::SeedableRng;
 //!
@@ -31,8 +31,9 @@
 //! let b = gen::random(64, 64, 0.3, MajorOrder::Row, &mut rng);
 //!
 //! let accel = Flexagon::with_defaults();
-//! let run = accel.run(&a, &b, Dataflow::GustavsonM)?;
-//! println!("{} cycles, {} bytes off-chip", run.report.total_cycles, run.report.offchip_bytes());
+//! let ex = accel.execute(ExecutionRequest::new(&a, &b).dataflow(Dataflow::GustavsonM))?;
+//! let report = &ex.output.report;
+//! println!("{} cycles, {} bytes off-chip", report.total_cycles, report.offchip_bytes());
 //! # Ok(())
 //! # }
 //! ```

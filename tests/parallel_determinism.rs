@@ -10,13 +10,12 @@
 //! sub-execution, and the reduction runs in band order — so threads only
 //! change wall clock, never results.
 
-use flexagon::core::{Accelerator, AcceleratorConfig, Dataflow, Flexagon, SimdMode};
+use flexagon::core::{Accelerator, AcceleratorConfig, Dataflow, Flexagon};
 use flexagon::sparse::gen;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// One fixed-dataflow run through the unified `execute` entry point (the
-/// deprecated `run` wrapper keeps its own coverage in the core crate).
+/// One fixed-dataflow run through the `execute` entry point.
 fn run_df(
     accel: &impl Accelerator,
     a: &flexagon::sparse::CompressedMatrix,
@@ -90,16 +89,17 @@ fn sharded_execution_is_byte_identical_across_worker_counts() {
 fn simd_and_sharding_compose_byte_identically() {
     // The SIMD kernel layer must be invisible in every report and output
     // byte, and must stay invisible when composed with band sharding:
-    // {Auto, Scalar} x {1 worker, 4 workers} all produce one answer. (The
+    // {SIMD, scalar} x {1 worker, 4 workers} all produce one answer. (The
     // CI golden matrix additionally crosses the FLEXAGON_SIMD environment
     // override with worker counts across full golden_reports runs; this
-    // in-process form covers the EngineConfig knob.)
+    // in-process form toggles the shim's process-wide scalar switch. A
+    // concurrent test caught in the scalar window only runs slower.)
     for s in representative_scenarios().into_iter().take(3) {
         let grain = (s.a.nnz() / 6).max(1);
-        let run_all = |simd: SimdMode, workers: usize| -> String {
+        let run_all = |scalar: bool, workers: usize| -> String {
+            simd::set_scalar_only(scalar);
             let mut cfg = AcceleratorConfig::table5();
             cfg.engine = cfg.engine.sharded(grain, workers);
-            cfg.engine.simd = simd;
             let accel = Flexagon::new(cfg);
             Dataflow::ALL
                 .iter()
@@ -114,16 +114,13 @@ fn simd_and_sharding_compose_byte_identically() {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let reference = run_all(SimdMode::Auto, 1);
-        for (simd, workers) in [
-            (SimdMode::Auto, 4),
-            (SimdMode::Scalar, 1),
-            (SimdMode::Scalar, 4),
-        ] {
+        let reference = run_all(false, 1);
+        for (scalar, workers) in [(false, 4), (true, 1), (true, 4)] {
+            let got = run_all(scalar, workers);
+            simd::set_scalar_only(false);
             assert_eq!(
-                reference,
-                run_all(simd, workers),
-                "{} diverged at simd {simd:?} x {workers} workers",
+                reference, got,
+                "{} diverged at scalar-only {scalar} x {workers} workers",
                 s.name
             );
         }
