@@ -1,8 +1,9 @@
-//! Criterion benches for the software reference SpGEMM kernels — the
-//! golden models and the CPU-baseline kernel.
+//! Criterion benches for the software SpGEMM paths: the reference golden
+//! kernels and the CPU MKL baseline (`spgemm_kernels`), then the engine's
+//! building blocks and whole executes (the other groups).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flexagon_core::{Accelerator, AcceleratorConfig, Dataflow, ExecutionRequest, Flexagon};
+use flexagon_core::{Accelerator, AcceleratorConfig, CpuMkl, Dataflow, ExecutionRequest, Flexagon};
 use flexagon_sparse::{
     gen, merge, reference, AccumConfig, AccumTier, BitmapMatrix, BlockedFiber, CompressedMatrix,
     Fiber, FiberFormat, FiberIndex, FormattedMatrix, MajorOrder, RowAccum,
@@ -33,6 +34,10 @@ fn bench_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("outer_product", n), &n, |bench, _| {
             bench.iter(|| reference::outer_product(black_box(&a_csc), black_box(&b)).unwrap());
+        });
+        let cpu = CpuMkl::with_defaults();
+        group.bench_with_input(BenchmarkId::new("cpu_baseline", n), &n, |bench, _| {
+            bench.iter(|| cpu.run(black_box(&a), black_box(&b)).unwrap());
         });
     }
     group.finish();

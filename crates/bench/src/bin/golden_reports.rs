@@ -6,8 +6,9 @@
 //! byte-identical: the dump covers every field of
 //! [`ExecutionReport`](flexagon_core::ExecutionReport)
 //! (cycles, per-phase clocks, traffic, cache stats, counters) plus the
-//! functional output matrix for all six dataflows over a spread of shapes
-//! and sparsities (the corpus in [`flexagon_bench::golden`]).
+//! functional output matrix for all six dataflows and the CPU MKL baseline
+//! over a spread of shapes and sparsities (the corpus in
+//! [`flexagon_bench::golden`]).
 //!
 //! `golden_reports --digests` prints one FNV-1a digest per case instead,
 //! in the format of the checked-in `crates/bench/golden_digests.txt` that

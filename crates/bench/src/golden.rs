@@ -1,6 +1,6 @@
 //! The golden corpus: a fixed spread of shapes and sparsities run under all
-//! six dataflows, each case serialized as its full execution report plus
-//! its functional output matrix.
+//! six dataflows and on the CPU MKL baseline, each case serialized as its
+//! full execution report plus its functional output matrix.
 //!
 //! Two builds of the simulator are functionally and timing-model
 //! equivalent iff their corpora are byte-identical. `golden_reports` prints
@@ -11,7 +11,8 @@
 //! cycle model or the outputs regenerates that file with
 //! `golden_reports --digests`.
 
-use flexagon_core::{Accelerator, Dataflow, ExecutionRequest};
+use crate::runner::SystemId;
+use flexagon_core::{Accelerator, CpuMkl, Dataflow, ExecutionRequest, RunOutput};
 use flexagon_sparse::{gen, CompressedMatrix, MajorOrder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -43,8 +44,9 @@ impl Shape {
         (a, b)
     }
 
-    /// The case label for this shape under `df`.
-    pub fn label(&self, df: Dataflow) -> String {
+    /// The case label for this shape on `system` (a dataflow, or the CPU
+    /// baseline).
+    pub fn label(&self, system: impl std::fmt::Display) -> String {
         let Shape {
             m,
             k,
@@ -53,7 +55,7 @@ impl Shape {
             density_b,
             seed,
         } = self;
-        format!("{m}x{k}x{n}/da{density_a}/db{density_b}/seed{seed}/{df}")
+        format!("{m}x{k}x{n}/da{density_a}/db{density_b}/seed{seed}/{system}")
     }
 }
 
@@ -68,7 +70,8 @@ const fn shape(m: u32, k: u32, n: u32, density_a: f64, density_b: f64, seed: u64
     }
 }
 
-/// The corpus shapes; each runs under every dataflow in [`Dataflow::ALL`].
+/// The corpus shapes; each runs under every dataflow in [`Dataflow::ALL`]
+/// and on [`CpuMkl`].
 pub const SHAPES: [Shape; 5] = [
     shape(32, 48, 40, 0.30, 0.20, 1),
     shape(96, 64, 80, 0.10, 0.40, 2),
@@ -89,6 +92,14 @@ pub struct GoldenCase {
 }
 
 impl GoldenCase {
+    fn new(label: String, out: &RunOutput) -> Self {
+        Self {
+            label,
+            report: serde_json::to_string(&out.report).expect("report serializes"),
+            c: serde_json::to_string(&out.c).expect("matrix serializes"),
+        }
+    }
+
     /// FNV-1a (64-bit) over the report JSON followed by the output JSON.
     pub fn digest(&self) -> u64 {
         fnv1a(fnv1a(FNV_OFFSET, self.report.as_bytes()), self.c.as_bytes())
@@ -107,14 +118,15 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Runs the whole corpus on `accel`, shape-major and in
-/// [`Dataflow::ALL`] order.
+/// Runs the whole corpus, shape-major: each shape on `accel` in
+/// [`Dataflow::ALL`] order, then on the default [`CpuMkl`] baseline.
 ///
 /// # Panics
 ///
 /// Panics if `accel` rejects a dataflow or a case fails to serialize.
 pub fn run(accel: &impl Accelerator) -> Vec<GoldenCase> {
-    let mut cases = Vec::with_capacity(SHAPES.len() * Dataflow::ALL.len());
+    let cpu = CpuMkl::with_defaults();
+    let mut cases = Vec::with_capacity(SHAPES.len() * (Dataflow::ALL.len() + 1));
     for shape in &SHAPES {
         let (a, b) = shape.operands();
         for df in Dataflow::ALL {
@@ -122,12 +134,10 @@ pub fn run(accel: &impl Accelerator) -> Vec<GoldenCase> {
                 .execute(ExecutionRequest::new(&a, &b).dataflow(df))
                 .expect("golden run")
                 .output;
-            cases.push(GoldenCase {
-                label: shape.label(df),
-                report: serde_json::to_string(&out.report).expect("report serializes"),
-                c: serde_json::to_string(&out.c).expect("matrix serializes"),
-            });
+            cases.push(GoldenCase::new(shape.label(df), &out));
         }
+        let out = cpu.run(&a, &b).expect("golden CPU run");
+        cases.push(GoldenCase::new(shape.label(SystemId::CpuMkl.name()), &out));
     }
     cases
 }

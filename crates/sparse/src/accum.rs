@@ -335,11 +335,12 @@ impl RowAccum {
         }
     }
 
-    /// Scatters a [`BlockedFiber`] scaled by `factor` into the row without
-    /// first materializing its SoA form — the blocked-format drain into the
-    /// psum tiers. Bit-identical to `scatter_scaled(decoded, factor)`: the
-    /// blocked walk visits elements in the same ascending coordinate order
-    /// and applies the same per-element operations.
+    /// Scatters a [`BlockedFiber`](crate::BlockedFiber) scaled by `factor`
+    /// into the row without first materializing its SoA form — the
+    /// blocked-format drain into the psum tiers. Bit-identical to
+    /// `scatter_scaled(decoded, factor)`: the blocked walk visits elements
+    /// in the same ascending coordinate order and applies the same
+    /// per-element operations.
     ///
     /// # Panics
     ///

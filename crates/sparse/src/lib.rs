@@ -20,7 +20,7 @@
 //! * [`FiberFormat`] / [`FormattedMatrix`] — the storage-format tier:
 //!   blocked (BCSR-style), fixed-width (ELL-ish) and INT8-quantized
 //!   encodings over the SoA baseline, selected per layer by the mapper the
-//!   same way a dataflow is ([`format`]).
+//!   same way a dataflow is ([`mod@format`]).
 //! * Workload generators ([`gen`]) and reference SpGEMM kernels
 //!   ([`mod@reference`]) implementing the Inner-Product,
 //!   Outer-Product and Gustavson algorithms in software.

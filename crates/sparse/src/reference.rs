@@ -1,7 +1,7 @@
 //! Software reference implementations of the three SpMSpM dataflows.
 //!
-//! These are the golden models every accelerator run is checked against, and
-//! the kernel behind the CPU baseline. Each mirrors the loop nest of Fig. 2:
+//! These are the golden models every accelerator run and the CPU baseline
+//! are checked against. Each mirrors the loop nest of Fig. 2:
 //!
 //! * [`inner_product`] — MNK order, co-iteration innermost, A·CSR × B·CSC.
 //! * [`outer_product`] — KMN order, co-iteration outermost, A·CSC × B·CSR.
@@ -116,9 +116,8 @@ pub fn outer_product(a: &CompressedMatrix, b: &CompressedMatrix) -> Result<Compr
 /// Gustavson's (M) SpMSpM: for each row of A, linearly combine the rows of B
 /// selected by that row's coordinates.
 ///
-/// Expects both operands in CSR (Table 3). This is the GAMMA-like algorithm
-/// and also the kernel of the CPU MKL baseline; merging is confined to the
-/// current output fiber.
+/// Expects both operands in CSR (Table 3). This is the GAMMA-like
+/// algorithm; merging is confined to the current output fiber.
 ///
 /// # Errors
 ///
