@@ -1,6 +1,6 @@
 //! Criterion benches over accelerator configurations: how simulator
 //! wall-time scales with the architectural knobs (the simulated-cycle
-//! ablations live in the `ablations` binary).
+//! ablations are the `ablations` section of `repro_all`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexagon_core::{Accelerator, AcceleratorConfig, Dataflow, ExecutionRequest, Flexagon};

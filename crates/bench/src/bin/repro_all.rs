@@ -1,53 +1,54 @@
-//! Runs the complete reproduction: every table and figure binary's content
-//! in one pass, writing the combined report to `results/repro_report.txt`.
+//! The paper reproduction: renders the sections of
+//! [`flexagon_bench::repro`] in one process, sharing one suite pass and one
+//! Table 6 pass between them.
 //!
-//! Run with `cargo run --release -p flexagon-bench --bin repro_all`.
-//! Expect a few minutes of runtime for the end-to-end model sweeps.
+//! With no arguments it writes every section, each under its banner, to
+//! `results/repro_report.txt` and to stdout. With section names as
+//! arguments it prints only those sections' text and writes no file; an
+//! unknown name exits with status 2 and lists the valid names. Host
+//! seconds per section and per simulation pass go to stderr; a section's
+//! time includes any pass it was the first to need.
+//!
+//! Run with `cargo run --release -p flexagon-bench --bin repro_all
+//! [section...]`.
 
-use std::process::Command;
+use std::time::Instant;
 
-const BINS: &[&str] = &[
-    "table3_taxonomy",
-    "table4_transitions",
-    "table6_layers",
-    "table8_area_power",
-    "fig17_naive_design",
-    "fig13_layerwise",
-    "fig14_onchip_traffic",
-    "fig15_miss_rate",
-    "fig16_offchip_traffic",
-    "table2_models",
-    "fig01_best_dataflow",
-    "fig12_end_to_end",
-    "fig18_perf_per_area",
-    "ablations",
-];
+use flexagon_bench::repro::{banner, Inputs, Section, SECTIONS};
 
 fn main() {
-    let mut combined = String::new();
-    for bin in BINS {
-        eprintln!("==> {bin}");
-        let out = Command::new(
-            std::env::current_exe()
-                .expect("self path")
-                .with_file_name(bin),
-        )
-        .output()
-        .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-        assert!(
-            out.status.success(),
-            "{bin} failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        combined.push('\n');
-        combined.push_str(&"=".repeat(72));
-        combined.push_str(&format!("\n== {bin}\n"));
-        combined.push_str(&"=".repeat(72));
-        combined.push('\n');
-        combined.push_str(&String::from_utf8_lossy(&out.stdout));
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let full = names.is_empty();
+    let sections: Vec<&Section> = if full {
+        SECTIONS.iter().collect()
+    } else {
+        match names.iter().map(|name| Section::find(name)).collect() {
+            Ok(sections) => sections,
+            Err(err) => {
+                eprintln!("{err}");
+                std::process::exit(2);
+            }
+        }
+    };
+
+    let inputs = Inputs::default();
+    let mut report = String::new();
+    for section in sections {
+        let start = Instant::now();
+        let mut text = if full {
+            banner(section.name)
+        } else {
+            String::new()
+        };
+        text.push_str(&section.render(&inputs));
+        eprintln!("{}: {:.1} s", section.name, start.elapsed().as_secs_f64());
+        print!("{text}");
+        report.push_str(&text);
     }
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/repro_report.txt", &combined).expect("write report");
-    println!("{combined}");
-    println!("\nCombined report written to results/repro_report.txt");
+    if full {
+        std::fs::create_dir_all("results").expect("create results dir");
+        std::fs::write("results/repro_report.txt", &report).expect("write report");
+        println!();
+        println!("\nCombined report written to results/repro_report.txt");
+    }
 }

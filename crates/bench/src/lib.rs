@@ -1,9 +1,11 @@
-//! Shared helpers for the benchmark harness.
+//! The benchmark harness around the simulator.
 //!
-//! Every table and figure of the paper's evaluation section has a dedicated
-//! binary under `src/bin/` (`repro_all` runs them all). This library
-//! holds the pieces they share: running one layer across the four
-//! accelerators, aggregating per-model results, and text-table rendering.
+//! [`repro`] renders every table and figure of the paper's evaluation from
+//! one suite pass and one Table 6 pass; the `repro_all` binary is its
+//! command line. The other modules hold what the harness binaries share:
+//! running one layer across the four accelerators and aggregating
+//! per-model results ([`runner`]), the mapper audit ([`mapper`]), the
+//! golden corpus ([`golden`]) and text-table rendering ([`render`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -11,9 +13,7 @@
 pub mod golden;
 pub mod mapper;
 pub mod render;
+pub mod repro;
 pub mod runner;
 
-pub use runner::{
-    run_layer, run_layer_with, run_model, run_model_with, LayerResults, ModelResults, SystemId,
-    DEFAULT_SEED,
-};
+pub use runner::DEFAULT_SEED;

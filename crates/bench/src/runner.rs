@@ -139,7 +139,7 @@ impl Default for RunOptions {
 
 /// Concurrent simulations per layer under the layer-parallel runner: the
 /// three fixed-dataflow accelerators plus the CPU baseline fan out through
-/// nested `rayon::join`s in [`run_layer_opts`].
+/// nested `rayon::join`s in [`run_layer`].
 pub const LAYER_SIM_FANOUT: usize = 4;
 
 /// The intra-layer shard-worker budget that keeps nested parallelism from
@@ -151,18 +151,8 @@ pub fn intra_layer_worker_budget(total_threads: usize, parallel_sims: usize) -> 
     (total_threads / parallel_sims.clamp(1, total_threads.max(1))).max(1)
 }
 
-/// Runs one layer on the four accelerators plus the CPU baseline, with
-/// Flexagon selecting per the oracle (the paper's configuration);
-/// equivalent to [`run_layer_with`] under [`MappingStrategy::Oracle`].
-///
-/// # Panics
-///
-/// Panics if any simulation fails — harness inputs are always well-formed.
-pub fn run_layer(spec: &LayerSpec, seed: u64) -> LayerResults {
-    run_layer_with(spec, seed, MappingStrategy::Oracle)
-}
-
-/// Runs one layer on the four accelerators plus the CPU baseline.
+/// Runs one layer on the four accelerators plus the CPU baseline under the
+/// given [`RunOptions`].
 ///
 /// The three fixed-dataflow baselines run their M-stationary variant, as in
 /// the paper's per-layer methodology. Flexagon's number is the strategy's
@@ -177,26 +167,7 @@ pub fn run_layer(spec: &LayerSpec, seed: u64) -> LayerResults {
 /// Panics if any simulation fails — harness inputs are always well-formed —
 /// or if a `Fixed` strategy names an N-stationary dataflow (this harness
 /// measures the M-stationary variants).
-pub fn run_layer_with(spec: &LayerSpec, seed: u64, strategy: MappingStrategy) -> LayerResults {
-    run_layer_opts(
-        spec,
-        seed,
-        &RunOptions {
-            strategy,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// Runs one layer on the four accelerators plus the CPU baseline under the
-/// given [`RunOptions`] — see [`run_layer_with`] for the measurement
-/// semantics.
-///
-/// # Panics
-///
-/// Panics if any simulation fails or a `Fixed` strategy names an
-/// N-stationary dataflow.
-pub fn run_layer_opts(spec: &LayerSpec, seed: u64, opts: &RunOptions) -> LayerResults {
+pub fn run_layer(spec: &LayerSpec, seed: u64, opts: &RunOptions) -> LayerResults {
     let mats = spec.materialize(seed);
     let base_cfg = {
         let mut cfg = AcceleratorConfig::table5();
@@ -297,34 +268,13 @@ impl ModelResults {
     }
 }
 
-/// Runs every layer of a model with the oracle strategy and aggregates
-/// per-system totals; equivalent to [`run_model_with`] under
-/// [`MappingStrategy::Oracle`].
-///
-/// `verbose` prints one progress line per layer to stderr.
-pub fn run_model(model: &DnnModel, seed: u64, verbose: bool) -> ModelResults {
-    run_model_with(model, seed, MappingStrategy::Oracle, verbose)
-}
-
-/// Runs every layer of a model under `strategy` and aggregates per-system
+/// Runs every layer of a model under the default [`RunOptions`] (the
+/// oracle strategy, the paper's configuration) and aggregates per-system
 /// totals.
 ///
 /// `verbose` prints one progress line per layer to stderr.
-pub fn run_model_with(
-    model: &DnnModel,
-    seed: u64,
-    strategy: MappingStrategy,
-    verbose: bool,
-) -> ModelResults {
-    run_model_opts(
-        model,
-        seed,
-        &RunOptions {
-            strategy,
-            ..RunOptions::default()
-        },
-        verbose,
-    )
+pub fn run_model(model: &DnnModel, seed: u64, verbose: bool) -> ModelResults {
+    run_model_opts(model, seed, &RunOptions::default(), verbose)
 }
 
 /// Runs every layer of a model under the given [`RunOptions`] and
@@ -366,13 +316,13 @@ pub fn run_model_opts(
         model
             .layers
             .par_iter()
-            .map(|spec| run_layer_opts(spec, seed, &opts))
+            .map(|spec| run_layer(spec, seed, &opts))
             .collect()
     } else {
         model
             .layers
             .iter()
-            .map(|spec| run_layer_opts(spec, seed, &opts))
+            .map(|spec| run_layer(spec, seed, &opts))
             .collect()
     };
     let mut totals = [0u64; 5];
@@ -401,10 +351,18 @@ pub fn run_model_opts(
 mod tests {
     use super::*;
 
+    /// The default options with Flexagon selecting under `strategy`.
+    fn with(strategy: MappingStrategy) -> RunOptions {
+        RunOptions {
+            strategy,
+            ..RunOptions::default()
+        }
+    }
+
     #[test]
     fn run_layer_produces_all_systems() {
         let spec = LayerSpec::new(0, "t", 32, 32, 32, 60.0, 60.0);
-        let r = run_layer(&spec, 1);
+        let r = run_layer(&spec, 1, &RunOptions::default());
         for system in SystemId::ALL {
             assert!(r.of(system).total_cycles > 0, "{}", system.name());
         }
@@ -418,8 +376,8 @@ mod tests {
     #[test]
     fn heuristic_strategy_selects_without_peeking() {
         let spec = LayerSpec::new(0, "t", 32, 32, 32, 60.0, 60.0);
-        let oracle = run_layer_with(&spec, 1, MappingStrategy::Oracle);
-        let heuristic = run_layer_with(&spec, 1, MappingStrategy::Heuristic);
+        let oracle = run_layer(&spec, 1, &with(MappingStrategy::Oracle));
+        let heuristic = run_layer(&spec, 1, &with(MappingStrategy::Heuristic));
         // Same simulations either way; only the Flexagon selection differs.
         assert_eq!(
             oracle.inner_product.total_cycles,
@@ -439,7 +397,7 @@ mod tests {
     fn fixed_strategy_pins_the_class() {
         let spec = LayerSpec::new(0, "t", 24, 24, 24, 50.0, 50.0);
         for df in Dataflow::M_STATIONARY {
-            let r = run_layer_with(&spec, 1, MappingStrategy::Fixed(df));
+            let r = run_layer(&spec, 1, &with(MappingStrategy::Fixed(df)));
             assert_eq!(r.flexagon_dataflow, df);
             let expected = match df {
                 Dataflow::InnerProductM => r.inner_product.total_cycles,
@@ -454,7 +412,11 @@ mod tests {
     #[should_panic(expected = "M-stationary")]
     fn fixed_strategy_rejects_n_stationary() {
         let spec = LayerSpec::new(0, "t", 8, 8, 8, 50.0, 50.0);
-        run_layer_with(&spec, 1, MappingStrategy::Fixed(Dataflow::GustavsonN));
+        run_layer(
+            &spec,
+            1,
+            &with(MappingStrategy::Fixed(Dataflow::GustavsonN)),
+        );
     }
 
     #[test]
@@ -498,11 +460,24 @@ mod tests {
 
     #[test]
     fn default_options_match_classic_runner() {
+        // The classic harness: oracle mapping on the unsharded engine, with
+        // the systems of a layer run one after another.
         let spec = LayerSpec::new(0, "t", 24, 24, 24, 50.0, 50.0);
-        let classic = run_layer_with(&spec, 1, MappingStrategy::Oracle);
-        let opts = run_layer_opts(&spec, 1, &RunOptions::default());
-        assert_eq!(classic.gustavson.total_cycles, opts.gustavson.total_cycles);
-        assert_eq!(classic.flexagon_dataflow, opts.flexagon_dataflow);
+        let opts = RunOptions::default();
+        assert_eq!(opts.strategy, MappingStrategy::Oracle);
+        assert_eq!(opts.engine, EngineConfig::default());
+        let classic = run_layer(
+            &spec,
+            1,
+            &RunOptions {
+                layer_parallel: false,
+                ..opts
+            },
+        );
+        let r = run_layer(&spec, 1, &opts);
+        assert_eq!(classic.gustavson.total_cycles, r.gustavson.total_cycles);
+        assert_eq!(classic.flexagon_dataflow, r.flexagon_dataflow);
+        assert_eq!(r.flexagon_dataflow, r.best_dataflow());
     }
 
     #[test]
@@ -519,8 +494,8 @@ mod tests {
         let results = run_model(&model, 1, false);
         assert_eq!(results.winners.len(), 2);
         assert!(results.speedup_vs_cpu(SystemId::Flexagon) > 0.0);
-        let l0 = run_layer(&model.layers[0], 1);
-        let l1 = run_layer(&model.layers[1], 1);
+        let l0 = run_layer(&model.layers[0], 1, &RunOptions::default());
+        let l1 = run_layer(&model.layers[1], 1, &RunOptions::default());
         assert_eq!(
             results.cycles(SystemId::GammaLike),
             l0.gustavson.total_cycles + l1.gustavson.total_cycles
