@@ -479,8 +479,9 @@ fn bench_execute_sharded(c: &mut Criterion) {
 /// The storage-format tier's kernels: the blocked masked dot against the
 /// SoA coordinate-compare baselines on dense-clustered fibers (the BCSR
 /// sweet spot — one compare per block instead of per element), and whole-
-/// matrix encode/decode throughput per format (the staging cost a format
-/// choice pays before any kernel runs).
+/// matrix encode/decode throughput per format (what storing an operand in
+/// that format costs; execution quantizes under `q8` only, and runs every
+/// lossless format on the caller's operands).
 fn bench_format_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("format_kernels");
 
@@ -512,8 +513,8 @@ fn bench_format_kernels(c: &mut Criterion) {
         bench.iter(|| black_box(&a8).dot(black_box(&b8)));
     });
 
-    // Whole-operand staging: encode and decode per format over the same
-    // clustered matrix the engine would stage.
+    // Whole-operand encode and decode per format over one clustered
+    // matrix.
     let mut rng = ChaCha8Rng::seed_from_u64(73);
     let m = gen::block_sparse(256, 1024, 8, 0.25, MajorOrder::Row, &mut rng);
     for format in FiberFormat::ALL {

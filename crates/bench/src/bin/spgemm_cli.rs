@@ -14,9 +14,13 @@
 //!
 //! The storage format is pinned like the dataflow: either with `--format`
 //! (`auto`, `soa`, `bcsr4`, `bcsr8`, `ell`, `q8`) or inline as a
-//! `strategy@format` spec (`heuristic@bcsr4`). Omitted, the engine default
-//! applies; `auto` lets the mapper pick a lossless format from the
+//! `strategy@format` spec (`heuristic@bcsr4`). Omitted, the configured
+//! default applies; `auto` lets the mapper pick a lossless format from the
 //! stationary operand's shape.
+//!
+//! Bad input (an unknown token, a missing argument, an unreadable file,
+//! operands whose dimensions disagree) prints one `spgemm_cli: <reason>`
+//! line plus the usage to stderr and exits with status 2.
 
 use flexagon_core::{Accelerator, ExecutionRequest, Flexagon, FormatChoice, MappingStrategy};
 use flexagon_rtl::energy::{average_power_mw, energy_of, EnergyParams};
@@ -26,54 +30,80 @@ use rand_chacha::ChaCha8Rng;
 use std::fs::File;
 use std::io::BufReader;
 
-fn load_mtx(path: &str) -> CompressedMatrix {
-    let file = File::open(path).unwrap_or_else(|e| panic!("cannot open {path}: {e}"));
-    io::read_matrix_market(BufReader::new(file), MajorOrder::Row)
-        .unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
-}
+const USAGE: &str = "usage: spgemm_cli mtx <a.mtx> <b.mtx> [strategy] [--format F] \
+     | rmat <scale> <edges> [strategy] [--format F]\n\
+     strategy: oracle (default) | heuristic | ip-m | op-m | gust-m | ip-n | op-n | gust-n\n\
+     format:   auto | soa | bcsr4 | bcsr8 | ell | q8 (also inline: strategy@format)";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: spgemm_cli mtx <a.mtx> <b.mtx> [strategy] [--format F] \
-         | rmat <scale> <edges> [strategy] [--format F]\n\
-         strategy: oracle (default) | heuristic | ip-m | op-m | gust-m | ip-n | op-n | gust-n\n\
-         format:   auto | soa | bcsr4 | bcsr8 | ell | q8 (also inline: strategy@format)";
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("help") {
+        println!("{USAGE}");
+        return;
+    }
+    if let Err(reason) = run(args) {
+        eprintln!("spgemm_cli: {reason}\n{USAGE}");
+        std::process::exit(2);
+    }
+}
+
+fn number<T: std::str::FromStr>(name: &str, text: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse()
+        .map_err(|e| format!("invalid {name} '{text}': {e}"))
+}
+
+fn load_mtx(path: &str) -> Result<CompressedMatrix, String> {
+    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    io::read_matrix_market(BufReader::new(file), MajorOrder::Row)
+        .map_err(|e| format!("cannot parse {path}: {e}"))
+}
+
+fn run(mut args: Vec<String>) -> Result<(), String> {
     // `--format` may appear anywhere; strip it before positional parsing.
     let mut format_flag: Option<String> = None;
     if let Some(i) = args.iter().position(|a| a == "--format") {
         args.remove(i);
-        if i < args.len() {
-            format_flag = Some(args.remove(i));
-        } else {
-            eprintln!("{usage}");
-            std::process::exit(2);
+        if i == args.len() {
+            return Err("missing value after --format".to_owned());
         }
+        format_flag = Some(args.remove(i));
     }
-    let (a, b, strategy_arg) = match args.first().map(String::as_str) {
-        Some("mtx") => {
-            let a = load_mtx(args.get(1).expect(usage));
-            let b = load_mtx(args.get(2).expect(usage));
-            (a, b, args.get(3).cloned())
+    let (x_name, y_name) = match args.first().map(String::as_str) {
+        Some("mtx") => ("<a.mtx>", "<b.mtx>"),
+        Some("rmat") => ("<scale>", "<edges>"),
+        Some(other) => return Err(format!("unknown mode '{other}' (expected mtx or rmat)")),
+        None => return Err("missing mode (mtx or rmat)".to_owned()),
+    };
+    let missing = |name: &str| format!("missing argument {name}");
+    let x = args.get(1).ok_or_else(|| missing(x_name))?;
+    let y = args.get(2).ok_or_else(|| missing(y_name))?;
+    let (strategy, mut format) =
+        MappingStrategy::parse_spec(args.get(3).map_or("oracle", String::as_str))?;
+    if let Some(f) = format_flag {
+        format = f.parse()?;
+    }
+    let (a, b) = if args[0] == "mtx" {
+        (load_mtx(x)?, load_mtx(y)?)
+    } else {
+        let scale: u32 = number(x_name, x)?;
+        if scale >= 31 {
+            return Err(format!("invalid {x_name} '{x}': must be below 31"));
         }
-        Some("rmat") => {
-            let scale: u32 = args.get(1).expect(usage).parse().expect("scale");
-            let edges: usize = args.get(2).expect(usage).parse().expect("edges");
-            let mut rng = ChaCha8Rng::seed_from_u64(1);
-            // Squaring an R-MAT graph: the canonical SpGEMM graph kernel
-            // (two-hop neighbourhoods).
-            let g = gen::rmat(
-                scale,
-                edges,
-                (0.57, 0.19, 0.19, 0.05),
-                MajorOrder::Row,
-                &mut rng,
-            );
-            (g.clone(), g, args.get(3).cloned())
-        }
-        _ => {
-            eprintln!("{usage}");
-            std::process::exit(2);
-        }
+        let edges: usize = number(y_name, y)?;
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        // Squaring an R-MAT graph: the canonical SpGEMM graph kernel
+        // (two-hop neighbourhoods).
+        let g = gen::rmat(
+            scale,
+            edges,
+            (0.57, 0.19, 0.19, 0.05),
+            MajorOrder::Row,
+            &mut rng,
+        );
+        (g.clone(), g)
     };
     println!(
         "A: {}x{} nnz {} ({:.2}% sparse)  B: {}x{} nnz {} ({:.2}% sparse)",
@@ -87,20 +117,13 @@ fn main() {
         b.sparsity_percent()
     );
 
-    let accel = Flexagon::with_defaults();
-    let (strategy, mut format) =
-        MappingStrategy::parse_spec(strategy_arg.as_deref().unwrap_or("oracle"))
-            .unwrap_or_else(|e| panic!("{e}"));
-    if let Some(f) = format_flag {
-        format = f.parse().unwrap_or_else(|e: String| panic!("{e}"));
-    }
-    let ex = accel
+    let ex = Flexagon::with_defaults()
         .execute(
             ExecutionRequest::new(&a, &b)
                 .strategy(strategy)
                 .format_choice(format),
         )
-        .expect("run");
+        .map_err(|e| e.to_string())?;
     let (df, out) = (ex.dataflow, ex.output);
     match strategy {
         MappingStrategy::Fixed(_) => {}
@@ -143,4 +166,5 @@ fn main() {
         "avg power         {:>11.1} mW @ 800 MHz",
         average_power_mw(&e, r.total_cycles, 800e6)
     );
+    Ok(())
 }

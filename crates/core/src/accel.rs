@@ -10,7 +10,9 @@ use crate::{
     engine, mapper, AcceleratorConfig, CancelToken, CoreError, Dataflow, ExecutionReport,
     FormatChoice, MappingStrategy, Result,
 };
-use flexagon_sparse::{validate_matrix, CompressedMatrix, FiberFormat, ValidationConfig};
+use flexagon_sparse::{
+    validate_matrix, CompressedMatrix, FiberFormat, FormattedMatrix, ValidationConfig,
+};
 
 /// Result of one accelerator execution: the functional output matrix and
 /// the measured report.
@@ -126,7 +128,9 @@ impl<'m> ExecutionRequest<'m> {
 pub struct Execution {
     /// The dataflow that ran (the strategy's choice).
     pub dataflow: Dataflow,
-    /// The fiber storage format the engine staged operands through.
+    /// The resolved fiber storage format: a footprint label for the
+    /// lossless tiers, the quantization the operands ran under for
+    /// [`FiberFormat::Quant8`].
     pub format: FiberFormat,
     /// The output matrix and execution report.
     pub output: RunOutput,
@@ -152,9 +156,11 @@ pub trait Accelerator {
     /// * **Format** resolves next: [`FormatChoice::Config`] takes the
     ///   configured [`crate::EngineConfig::format`], [`FormatChoice::Auto`]
     ///   asks [`mapper::heuristic_format`] (lossless formats only), and
-    ///   [`FormatChoice::Fixed`] pins a token. Lossless formats are
-    ///   result-transparent — outputs and reports are byte-identical to
-    ///   the SoA baseline.
+    ///   [`FormatChoice::Fixed`] pins a token. A lossless format is a
+    ///   footprint label: the run reads the caller's operands untouched,
+    ///   so outputs and reports equal the SoA run byte for byte. The lossy
+    ///   [`FiberFormat::Quant8`] is the one format that changes values: both
+    ///   operands are quantized once, before any dataflow runs.
     /// * **Strategy** dispatches last: [`MappingStrategy::Fixed`] runs
     ///   the pinned dataflow, [`MappingStrategy::Heuristic`] picks by
     ///   calibrated cost estimate and runs once, and
@@ -175,24 +181,20 @@ pub trait Accelerator {
             validate_matrix(req.a, validation).map_err(CoreError::Validation)?;
             validate_matrix(req.b, validation).map_err(CoreError::Validation)?;
         }
-        // `FLEXAGON_FORMAT` (lossless tokens only) rewrites the *default*
-        // choice — the CI knob that routes every unpinned run through one
-        // lossless tier suite-wide. An explicit `Auto`/`Fixed` on the
-        // request is program intent and always wins over the environment.
+        let cfg = self.config();
         let format = match req.format {
-            FormatChoice::Config => flexagon_sparse::format::env_format_override()
-                .unwrap_or(self.config().engine.format),
+            FormatChoice::Config => cfg.engine.format,
             FormatChoice::Auto => mapper::heuristic_format(req.a),
             FormatChoice::Fixed(f) => f,
         };
-        let cfg_owned;
-        let cfg = if self.config().engine.format == format {
-            self.config()
+        // Lossless formats are labels and leave the operands as they are;
+        // `q8` quantizes them once for every dataflow the strategy runs.
+        let quantized;
+        let (a, b) = if format.is_lossless() {
+            (req.a, req.b)
         } else {
-            let mut c = *self.config();
-            c.engine.format = format;
-            cfg_owned = c;
-            &cfg_owned
+            quantized = [req.a, req.b].map(|m| FormattedMatrix::encode(m, format).decode());
+            (&quantized[0], &quantized[1])
         };
         let run_one = |df: Dataflow| -> Result<RunOutput> {
             if !self.supported_dataflows().contains(&df) {
@@ -201,13 +203,13 @@ pub trait Accelerator {
                     dataflow: df,
                 });
             }
-            let (c, report) = engine::execute(cfg, req.a, req.b, df, &req.cancel)?;
+            let (c, report) = engine::execute(cfg, a, b, df, &req.cancel)?;
             Ok(RunOutput { c, report })
         };
         let (dataflow, output) = match req.strategy {
             MappingStrategy::Fixed(df) => (df, run_one(df)?),
             MappingStrategy::Heuristic => {
-                let df = mapper::heuristic_among(cfg, req.a, req.b, self.supported_dataflows());
+                let df = mapper::heuristic_among(cfg, a, b, self.supported_dataflows());
                 (df, run_one(df)?)
             }
             MappingStrategy::Oracle => {
@@ -443,7 +445,7 @@ mod tests {
         let f = Flexagon::with_defaults();
         for df in [Dataflow::InnerProductM, Dataflow::GustavsonN] {
             // The baseline pins SoA explicitly so the differential holds
-            // even when `FLEXAGON_FORMAT` redirects the config default.
+            // whatever the config default is.
             let base = f
                 .execute(
                     ExecutionRequest::new(&a, &b)

@@ -41,16 +41,14 @@ pub struct EngineConfig {
     /// [`EngineConfig::shard_grain_nnz`] is set). Values above the core
     /// count oversubscribe, like rayon's global pool.
     pub shard_workers: usize,
-    /// Fiber storage format the engine stages its operands through
-    /// ([`FiberFormat::Soa`] by default — the baseline, no staging at
-    /// all). Lossless formats are result-transparent: encode → decode
-    /// reproduces the operand bit for bit, so reports and outputs are
+    /// Default fiber storage format for requests that leave the format
+    /// to the config (`FormatChoice::Config`; [`FiberFormat::Soa`] by
+    /// default). A lossless format is a footprint label: the run reads
+    /// the caller's operands untouched, so reports and outputs are
     /// byte-identical to the SoA run. The lossy [`FiberFormat::Quant8`]
-    /// is honored only when set here explicitly (opt-in). The
-    /// `FLEXAGON_FORMAT` environment variable, when set to a lossless
-    /// token, wins over this field for runs that don't pin a format on
-    /// the request (the `FLEXAGON_SIMD` precedent); an explicit
-    /// `FormatChoice::Auto`/`Fixed` always wins over the environment.
+    /// is the one format that changes values, and applies only when set
+    /// here or pinned on the request (opt-in). The engine itself never
+    /// reads this field; `Accelerator::execute` resolves it.
     pub format: FiberFormat,
     /// Tier cutoffs for the Outer-Product/Gustavson psum accumulators.
     pub accum: AccumConfig,
@@ -95,9 +93,8 @@ impl EngineConfig {
     pub const DEFAULT_SHARD_GRAIN_NNZ: usize = 0;
     /// Default for [`EngineConfig::shard_workers`].
     pub const DEFAULT_SHARD_WORKERS: usize = 1;
-    /// Default for [`EngineConfig::format`]: the SoA baseline, which skips
-    /// format staging entirely and reproduces the recorded goldens bit for
-    /// bit.
+    /// Default for [`EngineConfig::format`]: the SoA baseline, the format
+    /// the operands already have.
     pub const DEFAULT_FORMAT: FiberFormat = FiberFormat::Soa;
 
     /// A sharded configuration: bands of roughly `grain_nnz` stationary

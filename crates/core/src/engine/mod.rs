@@ -85,26 +85,6 @@ pub(crate) fn execute(
 ) -> Result<(CompressedMatrix, ExecutionReport)> {
     cfg.assert_valid();
     cancel.check()?;
-    // Format staging: re-encode the operands through the configured fiber
-    // storage format and decode them back before execution. For lossless
-    // formats the decode reproduces the operand bit for bit, so outputs
-    // and reports are byte-identical to the SoA run — the format tier is
-    // result-transparent the same way SIMD and sharding are. The config
-    // field is authoritative here: the `FLEXAGON_FORMAT` env override is
-    // resolved one level up, in `Accelerator::execute`, where it rewrites
-    // the *default* (`FormatChoice::Config`) only — a request that pins a
-    // format explicitly must get exactly that format, env or not.
-    let fmt = cfg.engine.format;
-    let staged;
-    let (a, b) = if fmt == flexagon_sparse::FiberFormat::Soa {
-        (a, b)
-    } else {
-        staged = (
-            flexagon_sparse::FormattedMatrix::encode(a, fmt).decode(),
-            flexagon_sparse::FormattedMatrix::encode(b, fmt).decode(),
-        );
-        (&staged.0, &staged.1)
-    };
     if a.cols() != b.rows() {
         return Err(CoreError::Format(FormatError::DimensionMismatch {
             left_cols: a.cols(),

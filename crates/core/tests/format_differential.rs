@@ -1,11 +1,12 @@
-//! Differential tests for the storage-format tier at the engine level: a
-//! pinned *lossless* format must be result-transparent — byte-identical
-//! output matrix **and** byte-identical execution report — against the SoA
+//! Differential tests for the storage-format tier of `Accelerator::execute`:
+//! a *lossless* format is a footprint label that runs on the caller's
+//! operands, so it must be result-transparent — byte-identical output
+//! matrix **and** byte-identical execution report — against the SoA
 //! baseline, across all six dataflows and the adversarial generator sweep.
+//! `q8` is the one format that changes values.
 //!
 //! This is the contract that lets the mapper treat format as a free
-//! mapping dimension and lets `FLEXAGON_FORMAT` force CI through any
-//! lossless tier without re-blessing goldens.
+//! mapping dimension without re-blessing goldens.
 
 use flexagon_core::{Accelerator, AcceleratorConfig, Dataflow, ExecutionRequest, Flexagon};
 use flexagon_sparse::{gen, DenseMatrix, FiberFormat, FormattedMatrix};
@@ -116,5 +117,46 @@ fn auto_selection_never_picks_quant() {
             s.name,
             ex.format
         );
+    }
+}
+
+/// The config-default route (`FormatChoice::Config`, the way serve model
+/// jobs pick a format): `engine.format = q8` quantizes exactly like a
+/// pinned `q8` request, a lossless default matches SoA byte for byte, and
+/// pinning `soa` on a `q8`-configured accelerator does not quantize.
+#[test]
+fn config_default_format_matches_the_pinned_route() {
+    use flexagon_core::FormatChoice::{Config, Fixed};
+    use FiberFormat::{Bcsr4, Quant8, Soa};
+    let mut rng = ChaCha8Rng::seed_from_u64(37);
+    let a = gen::random(40, 48, 0.25, flexagon_sparse::MajorOrder::Row, &mut rng);
+    let b = gen::random(48, 36, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
+    let configured = |format| {
+        let mut cfg = AcceleratorConfig::tiny();
+        cfg.engine.format = format;
+        Flexagon::new(cfg)
+    };
+    let (plain, quant, blocked) = (configured(Soa), configured(Quant8), configured(Bcsr4));
+    let report = |out: &flexagon_core::RunOutput| serde_json::to_string(&out.report).unwrap();
+    for df in Dataflow::ALL {
+        let soa = run(&plain, &a, &b, df, Soa);
+        let pinned_q8 = run(&plain, &a, &b, df, Quant8);
+        assert_ne!(pinned_q8.c, soa.c, "{df}: q8 must change values here");
+        let cases = [
+            (&quant, Config, Quant8, &pinned_q8),
+            (&blocked, Config, Bcsr4, &soa),
+            (&quant, Fixed(Soa), Soa, &soa),
+        ];
+        for (accel, choice, resolved, want) in cases {
+            let req = ExecutionRequest::new(&a, &b).dataflow(df);
+            let ex = accel.execute(req.format_choice(choice)).unwrap();
+            let label = format!(
+                "{df}: {choice} on a {} default",
+                accel.config().engine.format
+            );
+            assert_eq!(ex.format, resolved, "{label}");
+            assert_eq!(ex.output.c, want.c, "{label}: output");
+            assert_eq!(report(&ex.output), report(want), "{label}: report");
+        }
     }
 }

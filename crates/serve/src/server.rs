@@ -280,20 +280,19 @@ fn handle_request(shared: &Arc<ServerShared>, request: Request) -> Response {
             Response::Ok
         }
         Request::SpGemm(r) => {
-            // The pinned format joins the operand-cache identity: a request
-            // pinning `bcsr4` stages its operands differently than the
-            // `soa` default, so cached state (the memoized transpose plan
-            // in particular) is never shared across format-distinct request
-            // streams. Default-format requests keep their bare ids — the
-            // pre-format cache behavior is unchanged.
-            let a_key = cache_key(r.a_id.as_deref(), r.format);
-            let b_key = cache_key(r.b_id.as_deref(), r.format);
-            let (a, b) =
-                match resolve_operands(&shared.cache, r.a, a_key.as_deref(), r.b, b_key.as_deref())
-                {
-                    Ok(ops) => ops,
-                    Err((code, detail)) => return Response::Error { code, detail },
-                };
+            // The cache holds raw operands: every format runs on them (and
+            // `q8` quantizes a private copy), so one id is one entry
+            // whatever format a request pins.
+            let (a, b) = match resolve_operands(
+                &shared.cache,
+                r.a,
+                r.a_id.as_deref(),
+                r.b,
+                r.b_id.as_deref(),
+            ) {
+                Ok(ops) => ops,
+                Err((code, detail)) => return Response::Error { code, detail },
+            };
             submit_and_wait(
                 shared,
                 r.tenant,
@@ -337,15 +336,6 @@ fn handle_request(shared: &Arc<ServerShared>, request: Request) -> Response {
             )
         }
     }
-}
-
-/// Suffixes a client-chosen operand identity with the non-default format
-/// token (`weights` pinned to bcsr4 resolves as `weights#bcsr4`).
-fn cache_key(id: Option<&str>, format: FormatChoice) -> Option<String> {
-    id.map(|id| match format {
-        FormatChoice::Config => id.to_owned(),
-        other => format!("{id}#{other}"),
-    })
 }
 
 fn submit_and_wait(

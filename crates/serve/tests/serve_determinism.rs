@@ -216,8 +216,8 @@ fn pinned_lossless_format_is_result_transparent() {
             format: FormatChoice::Fixed(format),
             a: Some(a.clone()),
             b: Some(b.clone()),
-            // Pinned formats key the cache per token: the same identity
-            // under bcsr4 and ell must resolve independently.
+            // One id is one cache entry whatever the format: the ell round
+            // re-offers the bytes the bcsr4 round registered.
             a_id: Some("fmt-a".to_owned()),
             b_id: Some("fmt-b".to_owned()),
             want_output: true,
@@ -231,5 +231,61 @@ fn pinned_lossless_format_is_result_transparent() {
             &expected_report,
         );
     }
+    server.shutdown();
+}
+
+#[test]
+fn one_operand_id_serves_every_format() {
+    use flexagon_core::FormatChoice;
+    use flexagon_sparse::FiberFormat;
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let a = random_matrix(61, 40, 48, 0.3);
+    let b = random_matrix(62, 48, 40, 0.3);
+    let strategy = MappingStrategy::Heuristic;
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // Only the first request uploads; the rest name the ids under another
+    // format. The closing default-format request must still see the exact
+    // operands, so the `q8` request before it left nothing quantized in
+    // the cache.
+    let rounds = [
+        FormatChoice::Config,
+        FormatChoice::Fixed(FiberFormat::Bcsr4),
+        FormatChoice::Fixed(FiberFormat::Quant8),
+        FormatChoice::Config,
+    ];
+    let mut outputs = Vec::new();
+    for (round, format) in rounds.into_iter().enumerate() {
+        let direct = Flexagon::with_defaults()
+            .execute(
+                ExecutionRequest::new(&a, &b)
+                    .strategy(strategy)
+                    .format_choice(format),
+            )
+            .expect("direct run");
+        let req = Request::spgemm(SpGemmRequest {
+            tenant: "one-id".to_owned(),
+            strategy,
+            format,
+            a: (round == 0).then(|| a.clone()),
+            b: (round == 0).then(|| b.clone()),
+            a_id: Some("shared-a".to_owned()),
+            b_id: Some("shared-b".to_owned()),
+            want_output: true,
+            ..SpGemmRequest::default()
+        });
+        assert_served_matches_direct(
+            &mut client,
+            &req,
+            direct.dataflow,
+            &direct.output.c,
+            &report_json(&direct.output.report),
+        );
+        outputs.push(direct.output.c);
+    }
+    assert_ne!(outputs[2], outputs[0], "q8 must change values here");
     server.shutdown();
 }

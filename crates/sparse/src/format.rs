@@ -21,12 +21,14 @@
 //!   per [`QUANT_BLOCK`]-element block (the DNN-weight footprint format).
 //!   This is the one *lossy* format: `|v - decode(encode(v))| <=
 //!   max_abs_in_block / 254` for finite inputs, and it is opt-in only —
-//!   the engine never selects it implicitly.
+//!   the mapper never selects it implicitly.
 //!
 //! Lossless formats ([`FiberFormat::is_lossless`]) decode back to the
 //! exact `CompressedMatrix` they were encoded from — same pointer, same
-//! coordinates, same value bits — which is how the engine's format staging
-//! keeps every execution report byte-identical to the SoA baseline.
+//! coordinates, same value bits. An execution under a lossless format is
+//! therefore a footprint label: it runs on the caller's operands and its
+//! report is byte-identical to the SoA baseline. `q8` is the one format
+//! that changes values.
 //!
 //! [`FormatStats`] summarizes the shape features (row-length CV, block
 //! fill, ELL waste) the mapper's format heuristic reads, and
@@ -37,7 +39,6 @@
 use crate::{CompressedMatrix, Fiber, FiberView, MajorOrder, ValidationError, Value};
 use serde::{Deserialize, Serialize};
 use std::str::FromStr;
-use std::sync::OnceLock;
 
 /// Elements per quantization block of [`FiberFormat::Quant8`]: one `f32`
 /// scale amortized over this many `i8` values (effective ~9.1 bits per
@@ -99,8 +100,7 @@ impl FiberFormat {
 
     /// Whether encode → decode reproduces the exact input bits. Everything
     /// but [`FiberFormat::Quant8`] is lossless; only lossless formats are
-    /// eligible for implicit selection (mapper heuristics, the
-    /// `FLEXAGON_FORMAT` override).
+    /// eligible for implicit selection by the mapper's heuristic.
     pub fn is_lossless(self) -> bool {
         !matches!(self, FiberFormat::Quant8)
     }
@@ -138,23 +138,6 @@ impl FromStr for FiberFormat {
             )),
         }
     }
-}
-
-/// The `FLEXAGON_FORMAT` environment override, read once per process.
-///
-/// When set to a *lossless* format token it replaces the config-default
-/// format for every run that doesn't pin one explicitly, so the CI format
-/// matrix can force the whole test suite through one storage tier while
-/// format-specific tests keep the format they asked for. Unknown tokens and the lossy `q8` are ignored (quantization must
-/// never be switched on ambiently).
-pub fn env_format_override() -> Option<FiberFormat> {
-    static OVERRIDE: OnceLock<Option<FiberFormat>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        std::env::var("FLEXAGON_FORMAT")
-            .ok()
-            .and_then(|v| v.parse::<FiberFormat>().ok())
-            .filter(|f| f.is_lossless())
-    })
 }
 
 /// Element storage of a [`FormattedMatrix`], one variant per layout
@@ -202,8 +185,8 @@ enum Storage {
 /// A [`CompressedMatrix`] re-encoded into a [`FiberFormat`].
 ///
 /// `encode` → [`decode`](FormattedMatrix::decode) round-trips losslessly
-/// for every format but [`FiberFormat::Quant8`]; the engine's format
-/// staging relies on that to keep default-format execution byte-identical.
+/// for every format but [`FiberFormat::Quant8`], which is why a lossless
+/// format can label an execution without touching its operands.
 ///
 /// ```
 /// use flexagon_sparse::{CompressedMatrix, FiberFormat, FormattedMatrix, MajorOrder};
