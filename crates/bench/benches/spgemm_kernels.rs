@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexagon_core::{Accelerator, AcceleratorConfig, CpuMkl, Dataflow, ExecutionRequest, Flexagon};
 use flexagon_sparse::{
-    gen, merge, reference, AccumConfig, AccumTier, BitmapMatrix, BlockedFiber, CompressedMatrix,
-    Fiber, FiberFormat, FiberIndex, FormattedMatrix, MajorOrder, RowAccum,
+    gen, merge, reference, AccumConfig, AccumTier, BlockedFiber, CompressedMatrix, Fiber,
+    FiberFormat, FiberIndex, FormattedMatrix, MajorOrder, RowAccum,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -194,108 +194,6 @@ fn bench_threshold_probe(c: &mut Criterion) {
             });
         }
     }
-    group.finish();
-}
-
-/// The four vectorized kernel families A/B'd against their scalar twins
-/// through the `vendor/simd` runtime override, so both legs pay the same
-/// dispatch cost and differ only in which instruction sequence runs:
-///
-/// * `merge2/*` — the bimodal 2-way merge (`merge::merge_two`), on an
-///   interleaved pair (run length ~1, the hostile shape) and a skewed pair
-///   (long runs, where the vector prefix scan pays off).
-/// * `dot/*`, `gallop/*` — the sorted-intersection inner loops.
-/// * `drain/*` — accumulator scatter+drain per tier; the drain half is the
-///   bitmap-directed SIMD compress-store (scatter is scalar by design).
-/// * `bitmap_and/*` — `BitmapMatrix::intersect_count` over word masks.
-///
-/// Under `FLEXAGON_SIMD=off` both legs take the scalar path (the env
-/// override wins over the runtime toggle) and the pairs should measure
-/// equal — a property the differential tests rely on.
-fn bench_simd_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simd_kernels");
-
-    let inter_a = intersection_fiber(4096, 16384, 51);
-    let inter_b = intersection_fiber(4096, 16384, 52);
-    let skew_a = intersection_fiber(512, 65536, 53);
-    let skew_b = intersection_fiber(8192, 65536, 54);
-    let skew_b_index = FiberIndex::build(skew_b.coords());
-    let sparse_a = intersection_fiber(512, 1 << 24, 55);
-    let sparse_b = intersection_fiber(512, 1 << 24, 56);
-
-    let mut rng = ChaCha8Rng::seed_from_u64(61);
-    let bm_a =
-        BitmapMatrix::from_compressed(&gen::random(512, 4096, 0.05, MajorOrder::Row, &mut rng));
-    let bm_b =
-        BitmapMatrix::from_compressed(&gen::random(512, 4096, 0.05, MajorOrder::Row, &mut rng));
-
-    let cfg = AccumConfig::default();
-    let accum_shapes: &[(&str, usize, usize, u32)] =
-        &[("dense", 16, 256, 1024), ("paged", 64, 64, 200_000)];
-    let accum_inputs: Vec<(&str, Vec<Fiber>, u32, u32, u64)> = accum_shapes
-        .iter()
-        .map(|&(label, ways, len, space)| {
-            let fibers: Vec<Fiber> = (0..ways)
-                .map(|s| intersection_fiber(len, space, 2000 + s as u64))
-                .collect();
-            let (lo, hi, nnz) = fibers.iter().filter(|f| !f.is_empty()).fold(
-                (u32::MAX, 0u32, 0u64),
-                |(lo, hi, nnz), f| {
-                    (
-                        lo.min(f.coords()[0]),
-                        hi.max(f.coords()[f.len() - 1]),
-                        nnz + f.len() as u64,
-                    )
-                },
-            );
-            (label, fibers, lo, hi, nnz)
-        })
-        .collect();
-
-    for (mode, forced) in [("scalar", true), ("simd", false)] {
-        simd::set_scalar_only(forced);
-        group.bench_function(BenchmarkId::new("merge2/interleaved", mode), |bench| {
-            bench.iter(|| {
-                merge::merge_two(black_box(inter_a.as_view()), black_box(inter_b.as_view()))
-            });
-        });
-        group.bench_function(BenchmarkId::new("merge2/skewed", mode), |bench| {
-            bench.iter(|| {
-                merge::merge_two(black_box(skew_a.as_view()), black_box(skew_b.as_view()))
-            });
-        });
-        group.bench_function(BenchmarkId::new("dot/balanced", mode), |bench| {
-            bench.iter(|| black_box(inter_a.as_view()).dot(black_box(inter_b.as_view())));
-        });
-        group.bench_function(BenchmarkId::new("dot/sparse_span", mode), |bench| {
-            bench.iter(|| black_box(sparse_a.as_view()).dot(black_box(sparse_b.as_view())));
-        });
-        group.bench_function(BenchmarkId::new("gallop/skewed", mode), |bench| {
-            bench.iter(|| black_box(skew_a.as_view()).dot_gallop(black_box(skew_b.as_view())));
-        });
-        group.bench_function(BenchmarkId::new("probe/skewed", mode), |bench| {
-            bench.iter(|| {
-                black_box(skew_a.as_view())
-                    .dot_probe(black_box(skew_b.as_view()), black_box(&skew_b_index))
-            });
-        });
-        for (label, fibers, lo, hi, nnz) in &accum_inputs {
-            let mut acc = RowAccum::new();
-            group.bench_function(BenchmarkId::new(&format!("drain/{label}"), mode), |bench| {
-                bench.iter(|| {
-                    acc.begin(*lo, *hi, *nnz, &cfg);
-                    for f in fibers {
-                        acc.scatter_scaled(black_box(f.as_view()), 1.5);
-                    }
-                    acc.drain()
-                });
-            });
-        }
-        group.bench_function(BenchmarkId::new("bitmap_and/512x4096", mode), |bench| {
-            bench.iter(|| black_box(&bm_a).intersect_count(black_box(&bm_b)));
-        });
-    }
-    simd::set_scalar_only(false);
     group.finish();
 }
 
@@ -537,7 +435,6 @@ criterion_group!(
     bench_kernels,
     bench_intersection,
     bench_threshold_probe,
-    bench_simd_kernels,
     bench_conversion,
     bench_accumulators,
     bench_kway_merge,

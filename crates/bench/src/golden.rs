@@ -4,10 +4,10 @@
 //!
 //! Two builds of the simulator are functionally and timing-model
 //! equivalent iff their corpora are byte-identical. `golden_reports` prints
-//! the corpus (so CI can `cmp` it across SIMD, shard-worker and format
-//! legs within one build), and `tests/golden_digests.rs` pins one FNV-1a
-//! digest per case against the checked-in `golden_digests.txt`, so the
-//! same contract also holds *across* builds. A deliberate change to the
+//! the corpus (so CI can `cmp` it across shard-worker legs within one
+//! build), and `tests/golden_digests.rs` pins one FNV-1a digest per case
+//! against the checked-in `golden_digests.txt`, so the same contract also
+//! holds *across* builds. A deliberate change to the
 //! cycle model or the outputs regenerates that file with
 //! `golden_reports --digests`.
 

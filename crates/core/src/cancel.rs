@@ -11,7 +11,7 @@
 //!   [`ExecutionRequest`](crate::ExecutionRequest) default) carries no
 //!   state at all; every poll is a branch on a `None`. Results and reports
 //!   are byte-identical with or without the unarmed token — the
-//!   cancellation layer is result-transparent, the same contract the SIMD,
+//!   cancellation layer is result-transparent, the same contract the
 //!   sharding and format tiers honor.
 //! * **Firing is a latch.** Once the deadline passes (or [`cancel`] is
 //!   called) the shared flag is set and every subsequent poll is a single

@@ -70,17 +70,14 @@ impl EngineConfig {
     /// previous hand-tuned value of 4 left the 2–4x band on the slower
     /// scan path.)
     ///
-    /// Re-checked on the SIMD build (the bitmap tier that dominates these
-    /// fixtures is untouched by SIMD, but inlining around `Prober::probe`
-    /// shifted): a lib-level microbench pins the bitmap probe at the same
-    /// ~1.6 ns/probe as the pre-SIMD build, keeping the crossover between
-    /// R=1 and R=2, and an engine A/B of gate 2 vs 4 on `execute/table5`
-    /// showed no dataflow where 4 wins (KMN was 15% worse). The
-    /// `threshold_probe/probe` numbers as compiled in the bench *binary*
-    /// currently read ~2x the lib-level cost at low `R` (a codegen/layout
-    /// artifact of that binary, not a library regression — see
-    /// BENCH_spgemm.json notes); naively reading them would move the gate
-    /// to 4 and lose the KMN win, so the gate stays 2.
+    /// The `threshold_probe/probe` numbers as compiled in the bench
+    /// *binary* read ~2x the lib-level cost at low `R` (a codegen/layout
+    /// artifact of that binary, not a library cost — see
+    /// `crates/sparse/tests/probe_micro.rs` and the BENCH_spgemm.json
+    /// notes), which moves their crossover to between R=2 and R=4. Naively
+    /// reading them would move the gate to 4, but an engine A/B of gate 2
+    /// vs 4 on `execute/table5` showed no dataflow where 4 wins (KMN was
+    /// 15% worse), so the gate stays 2.
     pub const DEFAULT_PROBE_GATE_FACTOR: usize = 2;
     /// Default for [`EngineConfig::indexed_min_k_ratio`].
     pub const DEFAULT_INDEXED_MIN_K_RATIO: usize = 2;

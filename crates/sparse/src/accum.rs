@@ -14,9 +14,8 @@
 //! mirroring the span/nnz heuristics of the [`index`](crate::index) tiers:
 //!
 //! * **Dense** — the span is tight enough that a value slot per coordinate
-//!   is affordable: scatters are one indexed add, and the drain compacts
-//!   64-slot value windows under the presence bitmap with SIMD
-//!   compress-stores ([`simd::compress_word`]).
+//!   is affordable: scatters are one indexed add, and the drain walks the
+//!   set bits of each presence word in ascending order.
 //! * **Paged** — medium spans where only the one-bit-per-coordinate bitmap
 //!   is affordable: value storage is allocated in 64-slot pages on first
 //!   touch of a bitmap word, and the drain is a bitmap-directed gather.
@@ -69,12 +68,10 @@ impl AccumConfig {
     /// across a band's tiles, which amortizes the allocation), and [`AccumConfig::dense_max_span`]
     /// still caps the absolute span. (Previous hand-tuned value: 4.)
     ///
-    /// Re-derived on the SIMD build (the dense drain's run discovery and
-    /// the paged gather are both vectorized now): dense still wins at
-    /// every measured ratio — the SIMD drain widens its lead at wide
-    /// sparse spans (`simd_kernels/drain/dense` ~1.4×) while the paged
-    /// tier's word-gather path is compare-bound, not compaction-bound —
-    /// so the gate remains the same footprint knob at 32.
+    /// Re-measured on a 2-vCPU container (medians of three sweeps): dense
+    /// leads by 1.1–2.0× at every ratio but 4, where the two tiers sit
+    /// within 4% of each other, so the gate remains the same footprint
+    /// knob at 32.
     pub const DEFAULT_DENSE_SPAN_PER_ELEM: u64 = 32;
     /// Default for [`AccumConfig::dense_max_span`].
     pub const DEFAULT_DENSE_MAX_SPAN: u64 = 1 << 22;
@@ -213,10 +210,10 @@ impl RowAccum {
         self.n_words = (span as usize).div_ceil(64);
         match tier {
             AccumTier::Dense => {
-                // Word-aligned sizing: the SIMD drain compacts whole 64-slot
-                // value windows per presence word, so the array covers the
-                // final partial word too. Slack slots sit under clear
-                // presence bits and are never emitted.
+                // Word-aligned sizing: the drain reads a whole 64-slot value
+                // window per presence word, so the array covers the final
+                // partial word too. Slack slots sit under clear presence
+                // bits and are never emitted.
                 let padded = self.n_words * 64;
                 if self.vals.len() < padded {
                     self.vals.resize(padded, 0.0);
@@ -273,15 +270,6 @@ impl RowAccum {
     /// Shared scatter body. The const parameter monomorphizes the two entry
     /// points, so the unscaled path compiles without the per-element
     /// multiply while both keep exactly one copy of the tier logic.
-    ///
-    /// The scatter loop stays scalar by design: its writes are
-    /// random-access indexed adds (`vals[bit] += v`) with a data-dependent
-    /// first-touch branch per element, which vectorizing would require
-    /// gather/scatter with intra-vector conflict detection — AVX2 has no
-    /// scatter at all, and colliding coordinates within one vector would
-    /// reorder float adds and break bit-identity. The SIMD win for these
-    /// tiers is on the drain side instead, where the access pattern is
-    /// sequential.
     #[inline]
     fn scatter_impl<const SCALED: bool>(&mut self, fiber: FiberView<'_>, factor: Value) {
         let scale = |v: Value| if SCALED { v * factor } else { v };
@@ -440,12 +428,7 @@ impl RowAccum {
         let tier = self.tier.take().expect("drain on an un-armed accumulator");
         match tier {
             AccumTier::Dense => {
-                // Bitmap-directed compress-store: each non-zero presence
-                // word compacts its 64-slot value window in one
-                // `simd::compress_word` call (per-byte `vpermps` shuffles on
-                // AVX2, the trailing_zeros loop on the scalar path) instead
-                // of a branch per set bit. Values are moved, never summed,
-                // so the drain is bit-exact on either path.
+                // Values are moved, never summed, so the drain is bit-exact.
                 let mut coords: Vec<u32> = Vec::with_capacity(self.distinct);
                 let mut values: Vec<Value> = Vec::with_capacity(self.distinct);
                 for w in 0..self.n_words {
@@ -454,7 +437,7 @@ impl RowAccum {
                         continue;
                     }
                     self.words[w] = 0;
-                    simd::compress_word(
+                    drain_word(
                         word,
                         self.lo + ((w << 6) as u32),
                         &self.vals[w << 6..(w << 6) + 64],
@@ -466,8 +449,8 @@ impl RowAccum {
                 Fiber::from_parts(coords, values)
             }
             AccumTier::Paged => {
-                // Same compress-store as the dense drain; the window is the
-                // word's 64-slot page instead of a span offset.
+                // Same walk as the dense drain; the window is the word's
+                // 64-slot page instead of a span offset.
                 let mut coords: Vec<u32> = Vec::with_capacity(self.distinct);
                 let mut values: Vec<Value> = Vec::with_capacity(self.distinct);
                 for w in 0..self.n_words {
@@ -478,7 +461,7 @@ impl RowAccum {
                     self.words[w] = 0;
                     let base = self.pages[w] as usize * 64;
                     self.pages[w] = NO_PAGE;
-                    simd::compress_word(
+                    drain_word(
                         word,
                         self.lo + ((w << 6) as u32),
                         &self.page_pool[base..base + 64],
@@ -507,6 +490,25 @@ impl RowAccum {
                 }
             },
         }
+    }
+}
+
+/// Appends `base + b` to `coords` and `vals[b]` to `values` for every set
+/// bit `b` of `word`, in ascending bit order.
+#[inline]
+fn drain_word(
+    word: u64,
+    base: u32,
+    vals: &[Value],
+    coords: &mut Vec<u32>,
+    values: &mut Vec<Value>,
+) {
+    let mut w = word;
+    while w != 0 {
+        let b = w.trailing_zeros();
+        coords.push(base + b);
+        values.push(vals[b as usize]);
+        w &= w - 1;
     }
 }
 

@@ -200,9 +200,7 @@ impl Fiber {
         self.coords.clear();
         self.coords.extend_from_slice(view.coords);
         self.values.clear();
-        // Lanewise IEEE multiplies round identically to the scalar map, so
-        // the SIMD path is bit-identical.
-        simd::extend_scaled_f32(view.values, factor, &mut self.values);
+        self.values.extend(view.values.iter().map(|&v| v * factor));
     }
 
     /// Replaces the contents with an unscaled copy of `view`, reusing the
@@ -364,51 +362,7 @@ impl<'a> FiberView<'a> {
     }
 
     /// Dot product with effectual-multiplication count (sorted intersection).
-    ///
-    /// Dispatches between a run-skipping SIMD loop and the classic
-    /// two-pointer scan ([`FiberView::dot_scalar`]). Both visit matches in
-    /// ascending coordinate order and accumulate with the same operand
-    /// order, so the float result is bit-identical either way; the SIMD
-    /// loop merely replaces the advance-by-one misses with
-    /// [`simd::run_lt_u32`] skips (inline scalar head, then 8-lane
-    /// compares) toward the next candidate crossover.
     pub fn dot(&self, other: FiberView<'_>) -> (Value, usize) {
-        if simd::level() == simd::Level::Scalar {
-            return self.dot_scalar(other);
-        }
-        let (mut i, mut j) = (0, 0);
-        let mut acc = 0.0;
-        let mut work = 0;
-        let (ac, bc) = (self.coords, other.coords);
-        while i < ac.len() && j < bc.len() {
-            let (ca, cb) = (ac[i], bc[j]);
-            if ca == cb {
-                acc += self.values[i] * other.values[j];
-                work += 1;
-                i += 1;
-                j += 1;
-            } else if ca < cb {
-                // Advance one, and only probe for a run when the same side
-                // loses twice in a row — alternating misses stay at scalar
-                // cost plus one compare.
-                i += 1;
-                if i < ac.len() && ac[i] < cb {
-                    i += 1 + simd::run_lt_u32(&ac[i + 1..], cb);
-                }
-            } else {
-                j += 1;
-                if j < bc.len() && bc[j] < ca {
-                    j += 1 + simd::run_lt_u32(&bc[j + 1..], ca);
-                }
-            }
-        }
-        (acc, work)
-    }
-
-    /// Scalar two-pointer dot product — the `FLEXAGON_SIMD=off` fallback
-    /// and the semantic reference the differential tests compare
-    /// [`FiberView::dot`] against.
-    pub fn dot_scalar(&self, other: FiberView<'_>) -> (Value, usize) {
         let (mut i, mut j) = (0, 0);
         let mut acc = 0.0;
         let mut work = 0;
@@ -497,13 +451,6 @@ impl<'a> FiberView<'a> {
 
 /// Index of the first element of `coords` that is `>= target` — `O(log d)`
 /// where `d` is the returned distance.
-///
-/// On the SIMD path the first [`GALLOP_BLOCK`] coordinates are checked with
-/// wide compares before any exponential probing: short advances (the common
-/// case when the driving fiber is only moderately sparser than the driven
-/// one) resolve in one or two vector compares with no branching ladder.
-/// Advances past the block fall through to exponential search seeded at the
-/// block boundary. Every path returns the same index.
 #[inline]
 fn gallop(coords: &[u32], target: u32) -> usize {
     let n = coords.len();
@@ -512,19 +459,6 @@ fn gallop(coords: &[u32], target: u32) -> usize {
     }
     let mut lo = 0usize;
     let mut step = 1usize;
-    if simd::level() != simd::Level::Scalar {
-        if n <= GALLOP_BLOCK {
-            return simd::prefix_lt_u32(coords, target);
-        }
-        let head = simd::prefix_lt_u32(&coords[..GALLOP_BLOCK], target);
-        if head < GALLOP_BLOCK {
-            return head;
-        }
-        // coords[GALLOP_BLOCK - 1] < target: seed the exponential phase at
-        // the block boundary.
-        lo = GALLOP_BLOCK - 1;
-        step = GALLOP_BLOCK;
-    }
     while lo + step < n && coords[lo + step] < target {
         lo += step;
         step <<= 1;
@@ -532,10 +466,6 @@ fn gallop(coords: &[u32], target: u32) -> usize {
     let hi = (lo + step).min(n);
     lo + 1 + coords[lo + 1..hi].partition_point(|&c| c < target)
 }
-
-/// Leading block the SIMD gallop scans with wide compares before falling
-/// back to exponential search (two AVX2 vectors).
-const GALLOP_BLOCK: usize = 16;
 
 impl<'a> IntoIterator for FiberView<'a> {
     type Item = Element;

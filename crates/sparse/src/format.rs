@@ -8,8 +8,8 @@
 //!
 //! * [`FiberFormat::Bcsr4`] / [`FiberFormat::Bcsr8`] — BCSR-style blocked
 //!   fibers: elements grouped into fixed-width value blocks (one base
-//!   coordinate + one occupancy mask per block), the SIMD-friendly layout
-//!   for dense-clustered regions. A block holds at least one element, so
+//!   coordinate + one occupancy mask per block), the layout for
+//!   dense-clustered regions. A block holds at least one element, so
 //!   storage is bounded, and the value slots are `f32` verbatim, so the
 //!   encoding is bit-exact.
 //! * [`FiberFormat::Ell`] — an ELL-ish fixed-width layout for uniform-row
@@ -356,9 +356,9 @@ impl FormattedMatrix {
                     let start = f * width;
                     let end = start + len as usize;
                     out_coords.extend_from_slice(&coords[start..end]);
-                    // A plain copy, *not* `extend_scaled_f32(.., 1.0, ..)`:
-                    // a lanewise multiply may canonicalize NaN payloads,
-                    // and the lossless contract is bit-exact.
+                    // A plain copy, *not* a multiply by 1.0: a multiply may
+                    // canonicalize NaN payloads, and the lossless contract
+                    // is bit-exact.
                     out_values.extend_from_slice(&values[start..end]);
                     ptr.push(out_coords.len());
                 }
@@ -371,14 +371,8 @@ impl FormattedMatrix {
                 q,
             } => {
                 let mut values = Vec::with_capacity(q.len());
-                let mut block = Vec::with_capacity(QUANT_BLOCK);
                 for (i, chunk) in q.chunks(QUANT_BLOCK).enumerate() {
-                    block.clear();
-                    block.extend(chunk.iter().map(|&x| x as f32));
-                    // The dequantization drain is the one decode that runs
-                    // through the vendored SIMD layer: a lanewise multiply
-                    // of the widened INT8 block by its scale.
-                    simd::extend_scaled_f32(&block, scales[i], &mut values);
+                    values.extend(chunk.iter().map(|&x| x as f32 * scales[i]));
                 }
                 (ptr.clone(), coords.clone(), values)
             }
@@ -608,7 +602,7 @@ fn quant_storage(m: &CompressedMatrix) -> Storage {
 /// The masked dot walks block *bases* instead of coordinates — one compare
 /// per block, then mask-AND plus up to `width` multiply-adds — and
 /// accumulates matched lanes in ascending coordinate order, so the result
-/// is bit-identical to [`FiberView::dot_scalar`] over the decoded fibers.
+/// is bit-identical to [`FiberView::dot`] over the decoded fibers.
 ///
 /// ```
 /// use flexagon_sparse::{BlockedFiber, Element, Fiber};
@@ -1007,7 +1001,7 @@ mod tests {
             let bb = BlockedFiber::encode(b.as_view(), width);
             assert_eq!(
                 ba.dot(&bb).to_bits(),
-                a.as_view().dot_scalar(b.as_view()).0.to_bits(),
+                a.as_view().dot(b.as_view()).0.to_bits(),
                 "width {width}"
             );
             assert_eq!(ba.decode(), a);

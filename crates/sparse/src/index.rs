@@ -199,7 +199,7 @@ impl FiberIndex {
         debug_assert_eq!(coords.len(), self.len, "index/fiber mismatch");
         match &self.tier {
             Tier::Empty => None,
-            Tier::Short => simd::find_eq_u32(coords, coord),
+            Tier::Short => coords.iter().position(|&c| c == coord),
             Tier::Bitmap {
                 first,
                 words,
@@ -211,7 +211,10 @@ impl FiberIndex {
                 let block = skips.partition_point(|&s| s <= coord).checked_sub(1)?;
                 let start = block * SKIP;
                 let end = (start + SKIP).min(self.len);
-                simd::find_eq_u32(&coords[start..end], coord).map(|off| start + off)
+                coords[start..end]
+                    .iter()
+                    .position(|&c| c == coord)
+                    .map(|off| start + off)
             }
         }
     }
@@ -261,10 +264,10 @@ impl Prober<'_> {
     /// The bitmap arm stays in this `#[inline]` body and the scan tiers are
     /// outlined: the bitmap tier answers in `O(1)` per probe, so it must
     /// flatten into the caller's probe loop, and keeping the scan tiers'
-    /// force-inlined SIMD prefix scans here bloats `probe` past the inline
-    /// threshold (measured 3x on `threshold_probe/probe/r1` — every bitmap
-    /// probe paid an outlined call plus a tier re-dispatch). The scan tiers
-    /// do `O(run)` work per probe, which amortizes their one call.
+    /// cursor loops here bloats `probe` past the inline threshold (measured
+    /// 3x on `threshold_probe/probe/r1` — every bitmap probe paid an
+    /// outlined call plus a tier re-dispatch). The scan tiers do `O(run)`
+    /// work per probe, which amortizes their one call.
     #[inline(always)]
     pub fn probe(&mut self, coord: u32) -> Option<(usize, Value)> {
         match &self.index.tier {
@@ -305,12 +308,10 @@ impl Prober<'_> {
     /// Advances the element cursor to the first coordinate `>= coord` within
     /// `coords[..end]` and reports a hit on equality.
     ///
-    /// The cursor advance is a prefix-scan over sorted coordinates, so the
-    /// SIMD path measures it with [`simd::run_lt_u32`] (inline scalar head,
-    /// then 8-lane compares — consecutive probes usually advance by only a
-    /// few elements) instead of a branch per element — this is the
-    /// probe-side inner loop the `threshold_probe` bench group measures,
-    /// and a direct input to the `probe_gate_factor` crossover.
+    /// Consecutive probes usually advance the cursor by only a few
+    /// elements. This is the probe-side inner loop the `threshold_probe`
+    /// bench group measures, and a direct input to the `probe_gate_factor`
+    /// crossover.
     #[inline]
     fn scan_from_cursor(
         &mut self,
@@ -318,7 +319,9 @@ impl Prober<'_> {
         coord: u32,
         end: usize,
     ) -> Option<(usize, Value)> {
-        self.pos += simd::run_lt_u32(&coords[self.pos..end], coord);
+        while self.pos < end && coords[self.pos] < coord {
+            self.pos += 1;
+        }
         if self.pos < end && coords[self.pos] == coord {
             let i = self.pos;
             Some((i, self.fiber.values()[i]))

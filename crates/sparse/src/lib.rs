@@ -48,7 +48,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod accum;
-mod bitmap;
 mod compressed;
 mod dense;
 mod element;
@@ -64,7 +63,6 @@ pub mod stats;
 pub mod validate;
 
 pub use accum::{AccumConfig, AccumTier, RowAccum};
-pub use bitmap::BitmapMatrix;
 pub use compressed::{CompressedMatrix, FiberIter, MajorOrder, MatrixView};
 pub use dense::DenseMatrix;
 pub use element::{Element, Value, ELEMENT_BYTES};

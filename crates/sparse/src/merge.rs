@@ -28,127 +28,9 @@ pub struct MergeStats {
 }
 
 /// Merges two sorted fibers, accumulating values on coordinate collisions.
-///
-/// Dispatches between a run-advance SIMD loop (`merge_two_simd`) and the
-/// classic element-at-a-time loop ([`merge_two_scalar`]); both produce
-/// bit-identical fibers and identical [`MergeStats`]. The SIMD loop is also
-/// the fix for the rebuild-to-rebuild bimodality PR 5 documented (22–53 µs
-/// across identical rebuilds, pinned-but-mode-flipping under
-/// `#[inline(never)]`): its cost is spread across run discovery and block
-/// copies instead of concentrating in one branch-per-element chain whose
-/// alignment the linker controls — the bench sweeps in `BENCH_spgemm.json`
-/// record it stable within ±7% across rebuild sweeps, with no modes.
-pub fn merge_two(a: FiberView<'_>, b: FiberView<'_>) -> (Fiber, MergeStats) {
-    if simd::level() == simd::Level::Scalar {
-        merge_two_scalar(a, b)
-    } else {
-        merge_two_simd(a, b)
-    }
-}
-
-/// SIMD 2-way merge: advances through *runs* of elements drawn from one
-/// side instead of comparing one coordinate pair per iteration.
-///
-/// At each step the head coordinates decide: on a collision the values are
-/// added exactly like the scalar loop (same operand order, so the float
-/// result is bit-identical); otherwise [`simd::run_lt_u32`] measures how
-/// far the losing side runs strictly below the other side's head — an
-/// inline scalar head followed by 8-lane compares — and the whole run is
-/// block-copied. Interleaved inputs degrade to run length 1 and stay inside
-/// the scalar head (no vector-call overhead where it cannot pay), while
-/// skewed inputs (the common case after radix dispatch) become
-/// memcpy-bound.
-///
-/// The scalar loop charges one comparison per iteration and each iteration
-/// pushes exactly one output element, so its counters follow from the
-/// cursor positions at main-loop exit: `comparisons = i + j - additions`
-/// (a collision advances both cursors but was a single comparison). This
-/// reconstruction keeps [`MergeStats`] identical to [`merge_two_scalar`].
-fn merge_two_simd(a: FiberView<'_>, b: FiberView<'_>) -> (Fiber, MergeStats) {
-    let mut coords: Vec<u32> = Vec::with_capacity(a.len() + b.len());
-    let mut values: Vec<Value> = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    let (ac, bc) = (a.coords(), b.coords());
-    let (av, bv) = (a.values(), b.values());
-    let mut additions = 0u64;
-    while i < ac.len() && j < bc.len() {
-        let (ca, cb) = (ac[i], bc[j]);
-        if ca == cb {
-            additions += 1;
-            coords.push(ca);
-            values.push(av[i] + bv[j]);
-            i += 1;
-            j += 1;
-        } else if ca < cb {
-            // First element through `push` — only when the same side wins
-            // twice in a row (the run signal) is the rest of the run
-            // measured and block-copied, so interleaved inputs pay scalar
-            // cost plus one extra compare.
-            coords.push(ca);
-            values.push(av[i]);
-            i += 1;
-            if i < ac.len() && ac[i] < cb {
-                let run = 1 + simd::run_lt_u32(&ac[i + 1..], cb);
-                copy_run(&ac[i..i + run], &av[i..i + run], &mut coords, &mut values);
-                i += run;
-            }
-        } else {
-            coords.push(cb);
-            values.push(bv[j]);
-            j += 1;
-            if j < bc.len() && bc[j] < ca {
-                let run = 1 + simd::run_lt_u32(&bc[j + 1..], ca);
-                copy_run(&bc[j..j + run], &bv[j..j + run], &mut coords, &mut values);
-                j += run;
-            }
-        }
-    }
-    let stats = MergeStats {
-        comparisons: (i + j) as u64 - additions,
-        additions,
-    };
-    coords.extend_from_slice(&ac[i..]);
-    values.extend_from_slice(&av[i..]);
-    coords.extend_from_slice(&bc[j..]);
-    values.extend_from_slice(&bv[j..]);
-    (Fiber::from_parts(coords, values), stats)
-}
-
-/// Appends a discovered run to the output, elementwise below 16 elements:
-/// `extend_from_slice` lowers to a length-generic `memcpy` call, which
-/// costs more than it copies on the 2–8 element runs interleaved merges
-/// produce.
-#[inline(always)]
-fn copy_run(c: &[u32], v: &[Value], coords: &mut Vec<u32>, values: &mut Vec<Value>) {
-    if c.len() < 16 {
-        for k in 0..c.len() {
-            coords.push(c[k]);
-            values.push(v[k]);
-        }
-    } else {
-        coords.extend_from_slice(c);
-        values.extend_from_slice(v);
-    }
-}
-
-/// Scalar 2-way merge — the `FLEXAGON_SIMD=off` fallback and the semantic
-/// reference the differential tests compare `merge_two_simd` against.
-///
-/// `#[inline(never)]` pins this body to one code address instead of
-/// re-laying it out per inline site; PR 5 measured that this makes
-/// *same-source* rebuilds stable (two three-rebuild sweeps each within
-/// ±7% of their mode) but cannot stop the mode itself flipping when
-/// unrelated code moves the link layout, since function alignment is not
-/// controllable on stable Rust. That residual instability is why the
-/// benched default path is now the SIMD loop above; the recorded scalar
-/// history (21.0/24.1/22.6 µs in one tree state, 47.3/53.8/52.2 µs in
-/// another) lives on in the BENCH notes. A branchless rewrite
-/// (flag-advanced cursors + conditional-move value select) was also tried
-/// and measured worse than either mode (~60 µs): the merge's branches are
-/// well-predicted on real fiber data, so trading them for a serialized
-/// cmov dependency chain is a loss.
+// One code address, so relinking unrelated code cannot re-lay out this loop per call site.
 #[inline(never)]
-pub fn merge_two_scalar(a: FiberView<'_>, b: FiberView<'_>) -> (Fiber, MergeStats) {
+pub fn merge_two(a: FiberView<'_>, b: FiberView<'_>) -> (Fiber, MergeStats) {
     let mut coords: Vec<u32> = Vec::with_capacity(a.len() + b.len());
     let mut values: Vec<Value> = Vec::with_capacity(a.len() + b.len());
     let mut stats = MergeStats::default();
@@ -522,34 +404,6 @@ mod tests {
                 views.iter().map(|v| v.len() as u64).sum::<u64>(),
                 "pop-per-element comparison count at radix {ways}"
             );
-        }
-    }
-
-    #[test]
-    fn simd_merge_matches_scalar_including_stats() {
-        // Interleaved, skewed, colliding, and empty shapes all have to agree
-        // with the scalar twin on both the fiber and the counters.
-        let shapes: Vec<(Fiber, Fiber)> = vec![
-            (
-                f(&[(0, 1.0), (2, 2.0), (4, 3.0)]),
-                f(&[(1, 4.0), (3, 5.0), (5, 6.0)]),
-            ),
-            (
-                f(&[(0, 1.0), (1, 2.0), (2, 3.0)]),
-                f(&[(0, 4.0), (1, 5.0), (2, 6.0)]),
-            ),
-            (
-                f(&(0..40).map(|c| (c, c as Value)).collect::<Vec<_>>()),
-                f(&[(17, 9.0)]),
-            ),
-            (Fiber::new(), f(&[(3, 1.0)])),
-            (Fiber::new(), Fiber::new()),
-        ];
-        for (a, b) in &shapes {
-            let (ms, ss) = merge_two_scalar(a.as_view(), b.as_view());
-            let (mv, sv) = merge_two_simd(a.as_view(), b.as_view());
-            assert_eq!(ms, mv);
-            assert_eq!(ss, sv);
         }
     }
 

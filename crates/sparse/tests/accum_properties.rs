@@ -162,3 +162,24 @@ proptest! {
         assert_bit_identical(&got, &want);
     }
 }
+
+/// Dense drain with set bits in a partial tail word: the drain reads a full
+/// 64-slot window per presence word, which must be in bounds even when the
+/// span ends mid-word.
+#[test]
+fn dense_drain_partial_tail_word() {
+    for span in [65u32, 70, 127, 129] {
+        let lo = 1000u32;
+        let hi = lo + span - 1;
+        let f = Fiber::from_sorted(vec![
+            Element::new(lo, 1.5),
+            Element::new(lo + span / 2, -2.5),
+            Element::new(hi, 3.25),
+        ]);
+        let mut acc = RowAccum::new();
+        acc.begin(lo, hi, 3, &AccumConfig::default());
+        acc.scatter(f.as_view());
+        let got = acc.drain();
+        assert_bit_identical(&got, &f);
+    }
+}

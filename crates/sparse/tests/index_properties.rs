@@ -38,15 +38,18 @@ fn matrix(max_dim: u32) -> impl Strategy<Value = CompressedMatrix> {
 
 proptest! {
     /// Galloping intersection returns bit-identical sums and identical work
-    /// counts to the naive two-pointer scan, on every span shape.
+    /// counts to the naive two-pointer scan, on every span shape (the
+    /// 2,000,000-space pair takes long gallop advances).
     #[test]
     fn gallop_matches_naive(
         a in fiber(50_000, 40),
         b in fiber(50_000, 40),
         dense_a in fiber(96, 40),
         dense_b in fiber(96, 40),
+        sparse_a in fiber(2_000_000, 40),
+        sparse_b in fiber(2_000_000, 200),
     ) {
-        for (x, y) in [(&a, &b), (&dense_a, &dense_b), (&a, &dense_b)] {
+        for (x, y) in [(&a, &b), (&dense_a, &dense_b), (&a, &dense_b), (&sparse_a, &sparse_b)] {
             let (v_naive, w_naive) = x.as_view().dot(y.as_view());
             let (v_gallop, w_gallop) = x.as_view().dot_gallop(y.as_view());
             prop_assert_eq!(v_naive.to_bits(), v_gallop.to_bits());
@@ -55,15 +58,24 @@ proptest! {
     }
 
     /// Index probing returns bit-identical sums and identical work counts to
-    /// the naive scan, whichever tier the index picked.
+    /// the naive scan, whichever tier the index picked (the
+    /// 2,000,000-space pair indexes a many-block skip tier).
     #[test]
     fn probe_matches_naive(
         a in fiber(50_000, 40),
         b in fiber(50_000, 40),
         dense_a in fiber(96, 40),
         dense_b in fiber(96, 40),
+        sparse_a in fiber(2_000_000, 40),
+        sparse_b in fiber(2_000_000, 200),
     ) {
-        for (x, y) in [(&a, &b), (&dense_a, &dense_b), (&dense_a, &b), (&a, &dense_b)] {
+        for (x, y) in [
+            (&a, &b),
+            (&dense_a, &dense_b),
+            (&dense_a, &b),
+            (&a, &dense_b),
+            (&sparse_a, &sparse_b),
+        ] {
             let index = FiberIndex::build(y.coords());
             let (v_naive, w_naive) = x.as_view().dot(y.as_view());
             let (v_probe, w_probe) = x.as_view().dot_probe(y.as_view(), &index);

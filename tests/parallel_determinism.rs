@@ -86,48 +86,6 @@ fn sharded_execution_is_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn simd_and_sharding_compose_byte_identically() {
-    // The SIMD kernel layer must be invisible in every report and output
-    // byte, and must stay invisible when composed with band sharding:
-    // {SIMD, scalar} x {1 worker, 4 workers} all produce one answer. (The
-    // CI golden matrix additionally crosses the FLEXAGON_SIMD environment
-    // override with worker counts across full golden_reports runs; this
-    // in-process form toggles the shim's process-wide scalar switch. A
-    // concurrent test caught in the scalar window only runs slower.)
-    for s in representative_scenarios().into_iter().take(3) {
-        let grain = (s.a.nnz() / 6).max(1);
-        let run_all = |scalar: bool, workers: usize| -> String {
-            simd::set_scalar_only(scalar);
-            let mut cfg = AcceleratorConfig::table5();
-            cfg.engine = cfg.engine.sharded(grain, workers);
-            let accel = Flexagon::new(cfg);
-            Dataflow::ALL
-                .iter()
-                .map(|&df| {
-                    let out = run_df(&accel, &s.a, &s.b, df).expect("scenario run");
-                    format!(
-                        "{df}:{}:{}",
-                        serde_json::to_string(&out.report).expect("report"),
-                        serde_json::to_string(&out.c).expect("matrix")
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let reference = run_all(false, 1);
-        for (scalar, workers) in [(false, 4), (true, 1), (true, 4)] {
-            let got = run_all(scalar, workers);
-            simd::set_scalar_only(false);
-            assert_eq!(
-                reference, got,
-                "{} diverged at scalar-only {scalar} x {workers} workers",
-                s.name
-            );
-        }
-    }
-}
-
-#[test]
 fn sharding_grain_disabled_matches_defaults() {
     // The default engine (grain 0) and an explicit single-band grain must
     // agree with each other — the sharded machinery collapses exactly onto
