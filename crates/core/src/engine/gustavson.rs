@@ -22,7 +22,7 @@
 //! radix) keep the fully materialized legacy path, so multi-pass merge
 //! accounting stays exact.
 
-use super::{tiling, Engine};
+use super::{tiling, Engine, Psum};
 use flexagon_sim::{bottleneck, Phase};
 use flexagon_sparse::{Fiber, FiberView, RowAccum};
 
@@ -212,7 +212,12 @@ pub(super) fn run(e: &mut Engine<'_>) {
                     let cycles = e.charge_row_merge(nonempty, inputs, fiber.len() as u64);
                     (fiber, cycles)
                 } else {
-                    e.merge_row_fibers(row, Vec::new())
+                    let chunks = e.psram.fiber_tags_of_row(row);
+                    let sources = chunks
+                        .into_iter()
+                        .map(|chunk| Psum::Owned(e.psram.consume_fiber(row, chunk, &mut e.dram)))
+                        .collect();
+                    e.merge_row_fibers(sources)
                 };
                 merging += cycles;
                 e.counters.incr("gust.split_rows_merged");

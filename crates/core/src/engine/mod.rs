@@ -54,6 +54,7 @@ use flexagon_sparse::{
     RowAccum, Value,
 };
 use rayon::prelude::*;
+use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Precomputed per-execution state shared read-only by every band of an
@@ -352,6 +353,44 @@ fn assemble(
     Ok((c, report))
 }
 
+/// One psum source of [`Engine::merge_row_fibers`].
+#[derive(Debug)]
+pub(crate) enum Psum {
+    /// Streaming row `k` of B scaled by a stationary value: an
+    /// Outer-Product partial fed by exactly one B row, read from the
+    /// operand when it is merged instead of being copied when it is made.
+    Scaled(u32, Value),
+    /// A materialized fiber.
+    Owned(Fiber),
+}
+
+impl Psum {
+    /// The source's coordinates.
+    fn coords<'s>(&'s self, b: MatrixView<'s>) -> &'s [u32] {
+        match self {
+            Psum::Scaled(k, _) => b.fiber(*k).coords(),
+            Psum::Owned(f) => f.coords(),
+        }
+    }
+
+    /// Number of elements.
+    pub(crate) fn len(&self, b: MatrixView<'_>) -> usize {
+        self.coords(b).len()
+    }
+
+    /// The source as a fiber, scaling a B row into a fresh copy.
+    pub(crate) fn into_fiber(self, b: MatrixView<'_>) -> Fiber {
+        match self {
+            Psum::Scaled(k, aval) => {
+                let mut f = Fiber::new();
+                f.scale_from(b.fiber(k), aval);
+                f
+            }
+            Psum::Owned(f) => f,
+        }
+    }
+}
+
 /// Execution context for one band: configuration, operand views (already
 /// M-stationary oriented), the band's simulated hardware, and accumulating
 /// results. Everything here, scratch included, lives exactly as long as
@@ -483,28 +522,26 @@ impl<'a> Engine<'a> {
             .advance(phase, bottleneck(&[compute, dram_busy]));
     }
 
-    /// Merges every psum fiber currently buffered for `row` (plus
-    /// `extra` in-flight fibers) down to a single fiber, running as many
-    /// MRN passes as the tree radix requires. Intermediate pass results are
-    /// buffered in the PSRAM (charged as psum traffic). Returns the merged
-    /// fiber and the cycles spent.
+    /// Merges one row's psum sources down to a single fiber, running as
+    /// many MRN passes as the tree radix requires. Intermediate pass results
+    /// are buffered in the PSRAM (charged as psum traffic). Returns the
+    /// merged fiber and the cycles spent.
     ///
-    /// Each pass runs through a tiered [`RowAccum`] instead of the
-    /// comparator-tree replay: scattering the batch in queue order folds
-    /// every coordinate's values in the merge's own source order, so the
+    /// Each source is a [`Psum`]: a scaled view of one B row (an
+    /// Outer-Product partial fed by a single B row) or an owned fiber. Each
+    /// pass runs through a tiered [`RowAccum`] instead of the comparator-tree
+    /// replay: scattering the batch in queue order folds every coordinate's
+    /// values in the merge's own source order, and a scaled view stores or
+    /// adds the same `v * aval` its materialized copy would hold, so the
     /// result — including the nested fold across passes — is bit-identical
-    /// to `mrn.merge_fibers` while the MRN charges the same pass model.
-    pub(crate) fn merge_row_fibers(&mut self, row: u32, extra: Vec<Fiber>) -> (Fiber, Cycle) {
-        let tags = self.psram.fiber_tags_of_row(row);
-        let mut queue: std::collections::VecDeque<Fiber> = tags
-            .into_iter()
-            .map(|k| self.psram.consume_fiber(row, k, &mut self.dram))
-            .chain(extra)
-            .filter(|f| !f.is_empty())
-            .collect();
+    /// to `mrn.merge_fibers` over the materialized sources while the MRN
+    /// charges the same pass model.
+    pub(crate) fn merge_row_fibers(&mut self, sources: Vec<Psum>) -> (Fiber, Cycle) {
+        let b = self.b;
+        let mut queue: VecDeque<Psum> = sources.into_iter().filter(|p| p.len(b) > 0).collect();
         match queue.len() {
             0 => return (Fiber::new(), 0),
-            1 => return (queue.pop_front().expect("len checked"), 0),
+            1 => return (queue.pop_front().expect("len checked").into_fiber(b), 0),
             _ => {}
         }
         let radix = self.mrn.max_radix();
@@ -512,16 +549,20 @@ impl<'a> Engine<'a> {
         let mut acc = std::mem::take(&mut self.merge_acc);
         loop {
             let take = radix.min(queue.len());
-            let batch: Vec<Fiber> = queue.drain(..take).collect();
-            let total: u64 = batch.iter().map(|f| f.len() as u64).sum();
-            let (mut lo, mut hi) = (u32::MAX, 0u32);
-            for f in &batch {
-                lo = lo.min(f.coords()[0]);
-                hi = hi.max(f.coords()[f.len() - 1]);
+            let batch: Vec<Psum> = queue.drain(..take).collect();
+            let (mut lo, mut hi, mut total) = (u32::MAX, 0u32, 0u64);
+            for p in &batch {
+                let coords = p.coords(b);
+                lo = lo.min(coords[0]);
+                hi = hi.max(coords[coords.len() - 1]);
+                total += coords.len() as u64;
             }
             acc.begin(lo, hi, total, &self.cfg.engine.accum);
-            for f in &batch {
-                acc.scatter(f.as_view());
+            for p in &batch {
+                match p {
+                    Psum::Scaled(k, aval) => acc.scatter_scaled(b.fiber(*k), *aval),
+                    Psum::Owned(f) => acc.scatter(f.as_view()),
+                }
             }
             let out = acc.drain();
             cycles += self.mrn.charge_merge(total, out.len() as u64);
@@ -539,7 +580,7 @@ impl<'a> Engine<'a> {
             }
             // Intermediate result waits in the PSRAM for the next pass.
             self.psram.charge_intermediate_roundtrip(out.len() as u64);
-            queue.push_back(out);
+            queue.push_back(Psum::Owned(out));
         }
     }
 

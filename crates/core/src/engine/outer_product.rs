@@ -13,16 +13,19 @@
 //! The *hardware* model is unchanged: ghost PSRAM chains reproduce the
 //! exact block allocation, spill traffic and consume traffic of the
 //! k-tagged psum fibers, and the merge network charges the same pass
-//! cycles and comparator counts. The *software* no longer materializes or
-//! re-merges those fibers: each scaled B row scatters straight into a
-//! tiered per-row [`RowAccum`](flexagon_sparse::RowAccum) in ascending-k
-//! order — the merge tree's own tie-break order — so the drained fiber is
-//! bit-identical to the k-way merge at a fraction of the cost. The
-//! per-band plan (tiles feeding each row, per-tile output spans) lives in
-//! flat band-row-indexed arrays, and the row accumulators recycle through
-//! a free list across the band's tiles.
+//! cycles and comparator counts. The *software* materializes only what it
+//! must. A row's partial (one tile's psum contribution to it) that a
+//! single nonempty B row feeds stays a [`Psum::Scaled`] view `(k, aval)`
+//! until the row is emitted or finally merged. Only rows fed by two or
+//! more B rows arm a tiered [`RowAccum`](flexagon_sparse::RowAccum), which
+//! takes the scaled B rows in ascending-k order — the merge tree's own
+//! tie-break order — so the drained fiber is bit-identical to the k-way
+//! merge. The merging phase walks the tile's own `(row, k)` writes, sorted
+//! by row, to consume the ghost chains. The per-band plan (tiles feeding
+//! each row) and the DRAM-resident partials live in flat band-row-indexed
+//! arrays.
 
-use super::{tiling, Engine};
+use super::{tiling, Engine, Psum};
 use flexagon_sim::{bottleneck, Phase};
 use flexagon_sparse::{Fiber, RowAccum, Value, ELEMENT_BYTES};
 
@@ -39,26 +42,21 @@ pub(super) fn run(e: &mut Engine<'_>, elements: Option<&[(u32, u32, Value)]>) {
         None => tiling::plan_cols(e.a, e.cfg.multipliers, e.band.clone(), &mut col_plan),
     }
     let b = e.b;
-    // Per-row accumulators, recycled through `free`; band row -> `pool`
-    // index (`u32::MAX` when unassigned).
+    // Accumulators of the current tile's multi-source rows; band row ->
+    // `pool` index (`u32::MAX` when the row has none).
     let mut pool: Vec<RowAccum> = Vec::new();
-    let mut free: Vec<u32> = Vec::new();
     let mut accum_of = vec![u32::MAX; band_rows];
-    // Per band row: last tile stamp (deduplicates `(tile, row)` pairs),
-    // tiles still owing psums, the incoming-psum span and element count of
-    // the current tile, and the DRAM-resident partial fibers.
-    let mut stamp = vec![u32::MAX; band_rows];
+    // Per band row: tiles still owing psums, and the partials parked in
+    // DRAM until the last of them.
     let mut tiles_left = vec![0u32; band_rows];
-    let mut lo = vec![0u32; band_rows];
-    let mut hi = vec![0u32; band_rows];
-    let mut nnz = vec![0u64; band_rows];
-    let mut pending: Vec<Vec<Fiber>> = vec![Vec::new(); band_rows];
-    // Rows the current tile feeds.
-    let mut touched: Vec<u32> = Vec::new();
+    let mut pending: Vec<Vec<Psum>> = (0..band_rows).map(|_| Vec::new()).collect();
+    // The current tile's psum writes `(row, k, aval)`, sorted by row, then k.
+    let mut writes: Vec<(u32, u32, Value)> = Vec::new();
 
     // Flat tile-indexed plan, computed once per band: how many tiles
     // contribute psums to each output row. A per-row tile stamp counts each
     // (tile, row) pair exactly once without hashing.
+    let mut stamp = vec![u32::MAX; band_rows];
     for (ti, tile) in col_plan.tiles().enumerate() {
         for (_, targets) in tile.groups() {
             for &(row, _) in targets {
@@ -70,62 +68,47 @@ pub(super) fn run(e: &mut Engine<'_>, elements: Option<&[(u32, u32, Value)]>) {
             }
         }
     }
-    for s in stamp.iter_mut() {
-        *s = u32::MAX;
-    }
 
-    for (ti, tile) in col_plan.tiles().enumerate() {
+    for tile in col_plan.tiles() {
         // Tile boundary: a fired token stops before the next tile streams.
         if e.is_cancelled() {
             return;
         }
-        // Span pass: which rows this tile feeds, and the coordinate span and
-        // element count of each row's incoming psums — the accumulator
-        // tier-selection inputs.
-        touched.clear();
+        writes.clear();
         for (k, targets) in tile.groups() {
-            let len = b.fiber_len(k) as u64;
-            let (f_lo, f_hi) = if len > 0 {
-                let coords = b.fiber(k).coords();
-                (coords[0], coords[coords.len() - 1])
-            } else {
-                (0, 0)
-            };
-            for &(row, _) in targets {
-                let r = (row - base) as usize;
-                if stamp[r] != ti as u32 {
-                    stamp[r] = ti as u32;
-                    touched.push(row);
-                    lo[r] = u32::MAX;
-                    hi[r] = 0;
-                    nnz[r] = 0;
-                }
-                if len > 0 {
-                    lo[r] = lo[r].min(f_lo);
-                    hi[r] = hi[r].max(f_hi);
-                    nnz[r] += len;
-                }
-            }
+            writes.extend(targets.iter().map(|&(row, aval)| (row, k, aval)));
         }
-        touched.sort_unstable();
-        for &row in touched.iter() {
-            let r = (row - base) as usize;
-            if nnz[r] == 0 {
-                continue;
+        writes.sort_unstable_by_key(|&(row, k, _)| (row, k));
+        // Arm an accumulator for every row fed by two or more nonempty B
+        // rows, over the coordinate span and element count of its incoming
+        // psums — the tier-selection inputs.
+        let mut armed = 0usize;
+        for run in writes.chunk_by(|x, y| x.0 == y.0) {
+            let (mut lo, mut hi, mut nnz, mut sources) = (u32::MAX, 0u32, 0u64, 0u32);
+            for &(_, k, _) in run {
+                let coords = b.fiber(k).coords();
+                if let (Some(&first), Some(&last)) = (coords.first(), coords.last()) {
+                    lo = lo.min(first);
+                    hi = hi.max(last);
+                    nnz += coords.len() as u64;
+                    sources += 1;
+                }
             }
-            let idx = free.pop().unwrap_or_else(|| {
-                pool.push(RowAccum::new());
-                (pool.len() - 1) as u32
-            });
-            pool[idx as usize].begin(lo[r], hi[r], nnz[r], &e.cfg.engine.accum);
-            accum_of[r] = idx;
+            if sources >= 2 {
+                if pool.len() == armed {
+                    pool.push(RowAccum::new());
+                }
+                pool[armed].begin(lo, hi, nnz, &e.cfg.engine.accum);
+                accum_of[(run[0].0 - base) as usize] = armed as u32;
+                armed += 1;
+            }
         }
 
         e.stationary_phase(tile.slots_used());
 
-        // Streaming phase: one multicast of B's row k per group; every
-        // multiplier's scaled fiber scatters into its row accumulator while
-        // the ghost PSRAM models the psum buffering.
+        // Streaming phase: one multicast of B's row k per group; the ghost
+        // PSRAM models every multiplier's psum buffering, and a scaled
+        // fiber scatters only into a multi-source row's accumulator.
         let mut streaming = 0u64;
         for (k, targets) in tile.groups() {
             let len = b.fiber_len(k) as u64;
@@ -141,7 +124,10 @@ pub(super) fn run(e: &mut Engine<'_>, elements: Option<&[(u32, u32, Value)]>) {
             let fiber = b.fiber(k);
             for &(row, aval) in targets {
                 e.psram.ghost_write(row, k, len as usize, &mut e.dram);
-                pool[accum_of[(row - base) as usize] as usize].scatter_scaled(fiber, aval);
+                let idx = accum_of[(row - base) as usize];
+                if idx != u32::MAX {
+                    pool[idx as usize].scatter_scaled(fiber, aval);
+                }
             }
             // Cache scan, multipliers and PSRAM write ports run concurrently.
             streaming += bottleneck(&[e.dn_cycles(len), mult, e.merge_cycles(products)]);
@@ -150,55 +136,55 @@ pub(super) fn run(e: &mut Engine<'_>, elements: Option<&[(u32, u32, Value)]>) {
 
         // Merging phase: proceed row by row (paper: "the merging phase
         // proceeds row by row"). Consuming the ghost chains charges the
-        // PSRAM read and spill-reload traffic; the merged fiber itself
-        // drains from the accumulator.
+        // PSRAM read and spill-reload traffic; the merged partial is the
+        // lone scaled B row or the accumulator's drain.
         let mut merging = e.mrn.fill_latency();
-        for &row in touched.iter() {
+        for run in writes.chunk_by(|x, y| x.0 == y.0) {
+            let row = run[0].0;
             let r = (row - base) as usize;
             let mut inputs = 0u64;
             let mut nonempty = 0usize;
-            for k in e.psram.fiber_tags_of_row(row) {
-                let len = e.psram.ghost_consume(row, k, &mut e.dram);
-                inputs += len;
-                if len > 0 {
+            let mut lone = None;
+            for &(_, k, aval) in run {
+                if b.fiber_len(k) > 0 {
+                    inputs += e.psram.ghost_consume(row, k, &mut e.dram);
                     nonempty += 1;
+                    lone = Some(Psum::Scaled(k, aval));
                 }
             }
-            let fiber = match accum_of[r] {
-                u32::MAX => Fiber::new(),
+            let partial = match accum_of[r] {
+                u32::MAX => lone,
                 idx => {
                     accum_of[r] = u32::MAX;
-                    free.push(idx);
-                    pool[idx as usize].drain()
+                    Some(Psum::Owned(pool[idx as usize].drain()))
                 }
             };
-            merging += e.charge_row_merge(nonempty, inputs, fiber.len() as u64);
+            let out_len = partial.as_ref().map_or(0, |p| p.len(b)) as u64;
+            merging += e.charge_row_merge(nonempty, inputs, out_len);
             debug_assert!(tiles_left[r] > 0, "row appears in its own tile count");
             tiles_left[r] -= 1;
             if tiles_left[r] == 0 {
-                let parts = std::mem::take(&mut pending[r]);
+                let mut parts = std::mem::take(&mut pending[r]);
                 if parts.is_empty() {
-                    e.emit_row(row, fiber);
+                    e.emit_row(row, partial.map_or_else(Fiber::new, |p| p.into_fiber(b)));
                 } else {
-                    // Reload the DRAM-resident partial fibers and run the
-                    // final cross-tile merge.
+                    // Reload the DRAM-resident partials and run the final
+                    // cross-tile merge.
                     for p in &parts {
-                        e.dram.read(p.len() as u64 * ELEMENT_BYTES);
+                        e.dram.read(p.len(b) as u64 * ELEMENT_BYTES);
                     }
                     e.counters
                         .add("op.partial_fibers_reloaded", parts.len() as u64);
-                    let mut extra = parts;
-                    extra.push(fiber);
-                    let (merged, cycles) = e.merge_row_fibers(row, extra);
+                    parts.extend(partial);
+                    let (merged, cycles) = e.merge_row_fibers(parts);
                     merging += cycles;
                     e.emit_row(row, merged);
                 }
-            } else if !fiber.is_empty() {
-                // More tiles will contribute: ship the partial fiber out.
-                e.dram.write(fiber.len() as u64 * ELEMENT_BYTES);
-                e.counters
-                    .add("op.partial_fiber_elements_to_dram", fiber.len() as u64);
-                pending[r].push(fiber);
+            } else if let Some(p) = partial {
+                // More tiles will contribute: ship the partial out.
+                e.dram.write(out_len * ELEMENT_BYTES);
+                e.counters.add("op.partial_fiber_elements_to_dram", out_len);
+                pending[r].push(p);
             }
         }
         e.advance_with_dram(Phase::Merging, merging);

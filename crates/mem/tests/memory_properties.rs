@@ -40,6 +40,69 @@ proptest! {
         prop_assert!(psram.is_empty());
     }
 
+    /// A ghost PSRAM is the data PSRAM minus the data: driven by the same
+    /// write schedule on the same always-spilling geometry, it allocates,
+    /// spills and reloads identically — occupancy, on-chip traffic, DRAM
+    /// bytes and DRAM request counts (which set the latency the engine
+    /// charges) agree after every write and after everything is consumed.
+    #[test]
+    fn ghost_psram_mirrors_data_psram(
+        ops in proptest::collection::vec((0u32..6, 0u32..4, 1usize..40), 1..60),
+    ) {
+        let cfg = PsramConfig {
+            capacity_bytes: 256,
+            block_bytes: 16,
+            num_sets: 4,
+            banks: 1,
+        };
+        let (mut data, mut ghost) = (Psram::new(cfg), Psram::new(cfg));
+        let (mut data_dram, mut ghost_dram) = (Dram::with_defaults(), Dram::with_defaults());
+        let same = |data: &Psram, ghost: &Psram, data_dram: &Dram, ghost_dram: &Dram| {
+            (
+                data.usage(),
+                data.written_elements(),
+                data.read_elements(),
+                data_dram.written_bytes(),
+                data_dram.read_bytes(),
+                data_dram.write_requests(),
+                data_dram.read_requests(),
+            ) == (
+                ghost.usage(),
+                ghost.written_elements(),
+                ghost.read_elements(),
+                ghost_dram.written_bytes(),
+                ghost_dram.read_bytes(),
+                ghost_dram.write_requests(),
+                ghost_dram.read_requests(),
+            )
+        };
+        let mut next_coord: HashMap<(u32, u32), u32> = HashMap::new();
+        for (row, k, len) in ops {
+            let cursor = next_coord.entry((row, k)).or_insert(0);
+            let elems: Vec<Element> = (0..len as u32)
+                .map(|i| Element::new(*cursor + i, 1.0))
+                .collect();
+            *cursor += len as u32;
+            data.partial_write_fiber(row, k, &elems, &mut data_dram);
+            ghost.ghost_write(row, k, len, &mut ghost_dram);
+            prop_assert!(
+                same(&data, &ghost, &data_dram, &ghost_dram),
+                "diverged after writing {} elements to ({}, {})", len, row, k
+            );
+        }
+        prop_assert_eq!(data.rows_with_data(), ghost.rows_with_data());
+        for row in data.rows_with_data() {
+            prop_assert_eq!(data.fiber_tags_of_row(row), ghost.fiber_tags_of_row(row));
+            for k in data.fiber_tags_of_row(row) {
+                let fiber = data.consume_fiber(row, k, &mut data_dram);
+                let len = ghost.ghost_consume(row, k, &mut ghost_dram);
+                prop_assert_eq!(fiber.len() as u64, len, "fiber ({}, {})", row, k);
+            }
+        }
+        prop_assert!(same(&data, &ghost, &data_dram, &ghost_dram), "diverged after consuming");
+        prop_assert!(data.is_empty() && ghost.is_empty());
+    }
+
     /// PSRAM traffic accounting: written == read when everything is
     /// consumed (and both equal the total element count).
     #[test]
