@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexagon_core::{Accelerator, AcceleratorConfig, CpuMkl, Dataflow, ExecutionRequest, Flexagon};
 use flexagon_sparse::{
-    gen, merge, reference, AccumConfig, AccumTier, BlockedFiber, CompressedMatrix, Fiber,
-    FiberFormat, FiberIndex, FormattedMatrix, MajorOrder, RowAccum,
+    gen, merge, reference, AccumConfig, AccumTier, CompressedMatrix, Fiber, FiberFormat,
+    FiberIndex, FormattedMatrix, MajorOrder, RowAccum,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -374,59 +374,21 @@ fn bench_execute_sharded(c: &mut Criterion) {
     group.finish();
 }
 
-/// The storage-format tier's kernels: the blocked masked dot against the
-/// SoA coordinate-compare baselines on dense-clustered fibers (the BCSR
-/// sweet spot — one compare per block instead of per element), and whole-
-/// matrix encode/decode throughput per format (what storing an operand in
-/// that format costs; execution quantizes under `q8` only, and runs every
-/// lossless format on the caller's operands).
+/// The cost of storing an operand as `q8`, the one format that changes
+/// values: whole-matrix quantize (encode) and dequantize (decode) over one
+/// clustered matrix. The lossless formats store the operand as it is.
 fn bench_format_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("format_kernels");
-
-    // Clustered fibers: coordinates drawn from dense runs, the structure
-    // block_sparse workloads hand the engine. ~1024 elements in runs of 8.
-    let clustered = |seed: u64| {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        gen::block_sparse(1, 16384, 8, 0.5, MajorOrder::Row, &mut rng)
-            .fiber(0)
-            .to_fiber()
-    };
-    let a = clustered(71);
-    let b = clustered(72);
-    let (a4, b4) = (
-        BlockedFiber::encode(a.as_view(), 4),
-        BlockedFiber::encode(b.as_view(), 4),
-    );
-    let (a8, b8) = (
-        BlockedFiber::encode(a.as_view(), 8),
-        BlockedFiber::encode(b.as_view(), 8),
-    );
-    group.bench_function("dot_clustered/soa", |bench| {
-        bench.iter(|| black_box(a.as_view()).dot(black_box(b.as_view())));
-    });
-    group.bench_function("dot_clustered/bcsr4", |bench| {
-        bench.iter(|| black_box(&a4).dot(black_box(&b4)));
-    });
-    group.bench_function("dot_clustered/bcsr8", |bench| {
-        bench.iter(|| black_box(&a8).dot(black_box(&b8)));
-    });
-
-    // Whole-operand encode and decode per format over one clustered
-    // matrix.
     let mut rng = ChaCha8Rng::seed_from_u64(73);
     let m = gen::block_sparse(256, 1024, 8, 0.25, MajorOrder::Row, &mut rng);
-    for format in FiberFormat::ALL {
-        if format == FiberFormat::Soa {
-            continue;
-        }
-        group.bench_function(BenchmarkId::new("encode", format.token()), |bench| {
-            bench.iter(|| FormattedMatrix::encode(black_box(&m), format));
-        });
-        let enc = FormattedMatrix::encode(&m, format);
-        group.bench_function(BenchmarkId::new("decode", format.token()), |bench| {
-            bench.iter(|| black_box(&enc).decode());
-        });
-    }
+    let q8 = FiberFormat::Quant8;
+    group.bench_function(BenchmarkId::new("encode", q8.token()), |bench| {
+        bench.iter(|| FormattedMatrix::encode(black_box(&m), q8));
+    });
+    let enc = FormattedMatrix::encode(&m, q8);
+    group.bench_function(BenchmarkId::new("decode", q8.token()), |bench| {
+        bench.iter(|| black_box(&enc).decode());
+    });
     group.finish();
 }
 

@@ -50,40 +50,12 @@ impl serde::Deserialize for Gate {
     }
 }
 
-/// The format-selection gate of the thresholds file — optional, so older
-/// threshold files without the section still pass the dataflow gates.
-#[derive(Debug)]
-struct FormatGate {
-    min_top1_percent: f64,
-    max_geomean_waste: f64,
-}
-
-impl serde::Deserialize for FormatGate {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::DeError::new("expected an object for FormatGate"))?;
-        Ok(Self {
-            min_top1_percent: serde::Deserialize::from_value(serde::map_get(
-                m,
-                "min_top1_percent",
-            )?)?,
-            max_geomean_waste: serde::Deserialize::from_value(serde::map_get(
-                m,
-                "max_geomean_waste",
-            )?)?,
-        })
-    }
-}
-
 /// The recorded thresholds file (`MAPPER_accuracy.json`): only the
-/// `thresholds.{smoke,full}` dataflow gates and the optional
-/// `thresholds.format_selection` gate are read; the recorded results and
-/// notes alongside them are documentation.
+/// `thresholds.{smoke,full}` dataflow gates are read; the recorded results
+/// and notes alongside them are documentation.
 struct Thresholds {
     smoke: Gate,
     full: Gate,
-    format_selection: Option<FormatGate>,
 }
 
 impl serde::Deserialize for Thresholds {
@@ -97,10 +69,6 @@ impl serde::Deserialize for Thresholds {
         Ok(Self {
             smoke: serde::Deserialize::from_value(serde::map_get(by_mode, "smoke")?)?,
             full: serde::Deserialize::from_value(serde::map_get(by_mode, "full")?)?,
-            format_selection: match serde::map_get(by_mode, "format_selection") {
-                Ok(v) => Some(serde::Deserialize::from_value(v)?),
-                Err(_) => None,
-            },
         })
     }
 }
@@ -185,20 +153,6 @@ fn main() -> ExitCode {
         );
     }
 
-    // The format-selection audit over the same cases: the feature-only
-    // format heuristic against the footprint oracle (lossless formats are
-    // result-transparent, so encoded bytes are the objective).
-    let format_outcomes = flexagon_bench::mapper::evaluate_formats(&cases);
-    let (fmt_top1, fmt_waste, fmt_worst) =
-        flexagon_bench::mapper::aggregate_formats(&format_outcomes);
-    let (worst_label, worst_waste) = fmt_worst.unwrap_or(("-", 1.0));
-    println!(
-        "Format selection — heuristic vs footprint oracle: top-1 {} over {} cases, \
-         geomean waste {fmt_waste:.4}x, worst {worst_waste:.3}x ({worst_label})\n",
-        pct(fmt_top1),
-        format_outcomes.len()
-    );
-
     // The Table 6 representative layers, individually (the paper's named
     // per-dataflow-group exemplars; materialized at the harness seed).
     let accel = Flexagon::new(cfg);
@@ -254,17 +208,10 @@ fn main() -> ExitCode {
         }
         writeln!(
             file,
-            "], \"top1_percent\": {:.4}, \"geomean_regret\": {:.6}, \"max_regret\": {:.6},",
+            "], \"top1_percent\": {:.4}, \"geomean_regret\": {:.6}, \"max_regret\": {:.6}}}",
             100.0 * overall.top1_fraction(),
             overall.geomean_regret(),
             overall.max_regret(),
-        )
-        .expect("write json");
-        writeln!(
-            file,
-            "\"format_selection\": {{\"top1_percent\": {:.4}, \"geomean_waste\": {:.6}}}}}",
-            100.0 * fmt_top1,
-            fmt_waste,
         )
         .expect("write json");
         eprintln!("wrote per-case results to {path}");
@@ -299,30 +246,6 @@ fn main() -> ExitCode {
                 gate.max_geomean_regret
             );
             failed = true;
-        }
-        if let Some(fg) = thresholds.format_selection {
-            let ft = 100.0 * fmt_top1;
-            println!(
-                "gate (format): top-1 {ft:.2}% (floor {:.2}%), geomean waste {fmt_waste:.4}x \
-                 (ceiling {:.3}x)",
-                fg.min_top1_percent, fg.max_geomean_waste
-            );
-            if ft < fg.min_top1_percent {
-                eprintln!(
-                    "mapper_accuracy: format top-1 {ft:.2}% fell below the recorded floor \
-                     {:.2}% — retune FormatSelection or update {path}",
-                    fg.min_top1_percent
-                );
-                failed = true;
-            }
-            if fmt_waste > fg.max_geomean_waste {
-                eprintln!(
-                    "mapper_accuracy: format geomean waste {fmt_waste:.4}x exceeds {:.3}x — \
-                     retune FormatSelection or update {path}",
-                    fg.max_geomean_waste
-                );
-                failed = true;
-            }
         }
         if failed {
             return ExitCode::FAILURE;

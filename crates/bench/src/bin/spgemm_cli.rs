@@ -13,10 +13,10 @@
 //! token: ip-m, op-m, gust-m, ip-n, op-n, gust-n.
 //!
 //! The storage format is pinned like the dataflow: either with `--format`
-//! (`auto`, `soa`, `bcsr4`, `bcsr8`, `ell`, `q8`) or inline as a
-//! `strategy@format` spec (`heuristic@bcsr4`). Omitted, the configured
-//! default applies; `auto` lets the mapper pick a lossless format from the
-//! stationary operand's shape.
+//! (`soa`, `bcsr4`, `bcsr8`, `ell`, `q8`) or inline as a `strategy@format`
+//! spec (`heuristic@bcsr4`). Omitted, the configured default applies. The
+//! lossless `bcsr4`, `bcsr8` and `ell` are labels that change no number;
+//! `q8` quantizes both operands once.
 //!
 //! Bad input (an unknown token, a missing argument, an unreadable file,
 //! operands whose dimensions disagree) prints one `spgemm_cli: <reason>`
@@ -33,7 +33,7 @@ use std::io::BufReader;
 const USAGE: &str = "usage: spgemm_cli mtx <a.mtx> <b.mtx> [strategy] [--format F] \
      | rmat <scale> <edges> [strategy] [--format F]\n\
      strategy: oracle (default) | heuristic | ip-m | op-m | gust-m | ip-n | op-n | gust-n\n\
-     format:   auto | soa | bcsr4 | bcsr8 | ell | q8 (also inline: strategy@format)";
+     format:   soa | bcsr4 | bcsr8 | ell | q8 (also inline: strategy@format)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -11,7 +11,7 @@
 
 use flexagon_core::{mapper, Accelerator, AcceleratorConfig, Dataflow, ExecutionRequest, Flexagon};
 use flexagon_dnn::AgreementStats;
-use flexagon_sparse::{gen, CompressedMatrix, FiberFormat, FormattedMatrix};
+use flexagon_sparse::{gen, CompressedMatrix};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -224,99 +224,6 @@ pub fn aggregate(outcomes: &[CaseOutcome]) -> (Vec<(String, AgreementStats)>, Ag
         overall.merge(s);
     }
     (groups, overall)
-}
-
-/// The lossless formats the selection sweep ranks, in footprint-array
-/// order. `Quant8` is excluded by policy: the mapper never volunteers a
-/// lossy tier, so auditing it as an "oracle" pick would be meaningless.
-pub const SWEEP_FORMATS: [FiberFormat; 4] = [
-    FiberFormat::Soa,
-    FiberFormat::Bcsr4,
-    FiberFormat::Bcsr8,
-    FiberFormat::Ell,
-];
-
-/// One case of the format-selection audit: the heuristic's feature-only
-/// pick against the footprint oracle (lossless formats are
-/// result-transparent, so bytes — not cycles — are the objective the
-/// format dimension optimizes).
-#[derive(Debug, Clone)]
-pub struct FormatOutcome {
-    /// Aggregation group (see [`AccuracyCase::group`]).
-    pub group: String,
-    /// Row label.
-    pub label: String,
-    /// The heuristic's pick ([`mapper::heuristic_format`] on the
-    /// stationary operand).
-    pub predicted: FiberFormat,
-    /// The smallest-footprint lossless format.
-    pub oracle: FiberFormat,
-    /// Encoded bytes of the stationary operand per format, in
-    /// [`SWEEP_FORMATS`] order.
-    pub footprints: [usize; 4],
-}
-
-impl FormatOutcome {
-    fn bytes_of(&self, format: FiberFormat) -> usize {
-        let idx = SWEEP_FORMATS
-            .iter()
-            .position(|&f| f == format)
-            .expect("sweep covers lossless formats");
-        self.footprints[idx]
-    }
-
-    /// `predicted_bytes / oracle_bytes` (≥ 1; 1.0 on agreement or tie) —
-    /// the footprint analogue of cycle regret.
-    pub fn waste(&self) -> f64 {
-        self.bytes_of(self.predicted) as f64 / self.bytes_of(self.oracle) as f64
-    }
-
-    /// Whether the pick costs nothing: smallest footprint, ties included.
-    pub fn agrees(&self) -> bool {
-        self.bytes_of(self.predicted) == self.bytes_of(self.oracle)
-    }
-}
-
-/// Audits format selection over `cases`: encodes each stationary operand
-/// in every lossless format and scores [`mapper::heuristic_format`]
-/// against the footprint oracle.
-pub fn evaluate_formats(cases: &[AccuracyCase]) -> Vec<FormatOutcome> {
-    cases
-        .par_iter()
-        .map(|case| {
-            let footprints =
-                SWEEP_FORMATS.map(|f| FormattedMatrix::encode(&case.a, f).footprint_bytes());
-            let oracle_idx = (0..SWEEP_FORMATS.len())
-                .min_by_key(|&i| footprints[i])
-                .expect("four formats");
-            FormatOutcome {
-                group: case.group.clone(),
-                label: case.label.clone(),
-                predicted: mapper::heuristic_format(&case.a),
-                oracle: SWEEP_FORMATS[oracle_idx],
-                footprints,
-            }
-        })
-        .collect()
-}
-
-/// Overall format-selection statistics: top-1 agreement fraction, geomean
-/// footprint waste, and the worst (case label, waste).
-pub fn aggregate_formats(outcomes: &[FormatOutcome]) -> (f64, f64, Option<(&str, f64)>) {
-    if outcomes.is_empty() {
-        return (1.0, 1.0, None);
-    }
-    let agree = outcomes.iter().filter(|o| o.agrees()).count();
-    let log_sum: f64 = outcomes.iter().map(|o| o.waste().ln()).sum();
-    let worst = outcomes
-        .iter()
-        .max_by(|a, b| a.waste().partial_cmp(&b.waste()).expect("finite waste"))
-        .map(|o| (o.label.as_str(), o.waste()));
-    (
-        agree as f64 / outcomes.len() as f64,
-        (log_sum / outcomes.len() as f64).exp(),
-        worst,
-    )
 }
 
 #[cfg(test)]

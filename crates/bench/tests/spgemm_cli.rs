@@ -49,6 +49,8 @@ fn unknown_tokens_exit_2_naming_the_token() {
     for (args, token) in [
         (&["rmat", "4", "10", "--format", "csr5"][..], "'csr5'"),
         (&["rmat", "4", "10", "heuristic@csr5"][..], "'csr5'"),
+        (&["rmat", "4", "10", "--format", "auto"][..], "'auto'"),
+        (&["rmat", "4", "10", "heuristic@auto"][..], "'auto'"),
         (&["rmat", "4", "10", "fastest"][..], "'fastest'"),
         (&["rmat", "4", "10", "--format"][..], "--format"),
         (&["matmul", "4", "10"][..], "'matmul'"),

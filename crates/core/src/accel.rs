@@ -128,8 +128,8 @@ impl<'m> ExecutionRequest<'m> {
 pub struct Execution {
     /// The dataflow that ran (the strategy's choice).
     pub dataflow: Dataflow,
-    /// The resolved fiber storage format: a footprint label for the
-    /// lossless tiers, the quantization the operands ran under for
+    /// The resolved fiber storage format: a label for the lossless
+    /// formats, the quantization the operands ran under for
     /// [`FiberFormat::Quant8`].
     pub format: FiberFormat,
     /// The output matrix and execution report.
@@ -154,11 +154,10 @@ pub trait Accelerator {
     ///   ([`ExecutionRequest::validated`]) — the boundary for operands
     ///   whose bytes arrived from outside the process.
     /// * **Format** resolves next: [`FormatChoice::Config`] takes the
-    ///   configured [`crate::EngineConfig::format`], [`FormatChoice::Auto`]
-    ///   asks [`mapper::heuristic_format`] (lossless formats only), and
+    ///   configured [`crate::EngineConfig::format`], and
     ///   [`FormatChoice::Fixed`] pins a token. A lossless format is a
-    ///   footprint label: the run reads the caller's operands untouched,
-    ///   so outputs and reports equal the SoA run byte for byte. The lossy
+    ///   label: the run reads the caller's operands untouched, so outputs
+    ///   and reports equal the SoA run byte for byte. The lossy
     ///   [`FiberFormat::Quant8`] is the one format that changes values: both
     ///   operands are quantized once, before any dataflow runs.
     /// * **Strategy** dispatches last: [`MappingStrategy::Fixed`] runs
@@ -184,7 +183,6 @@ pub trait Accelerator {
         let cfg = self.config();
         let format = match req.format {
             FormatChoice::Config => cfg.engine.format,
-            FormatChoice::Auto => mapper::heuristic_format(req.a),
             FormatChoice::Fixed(f) => f,
         };
         // Lossless formats are labels and leave the operands as they are;
@@ -541,36 +539,6 @@ mod tests {
             .execute(ExecutionRequest::new(&a, &b).deadline_in(std::time::Duration::ZERO))
             .unwrap_err();
         assert!(matches!(err, CoreError::DeadlineExceeded));
-    }
-
-    #[test]
-    fn execute_auto_format_picks_lossless_only() {
-        use crate::FormatChoice;
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(22);
-        // Dense-clustered A: the auto heuristic should leave SoA, and must
-        // never pick the lossy format on its own.
-        let a = flexagon_sparse::gen::block_sparse(
-            64,
-            64,
-            8,
-            0.8,
-            flexagon_sparse::MajorOrder::Row,
-            &mut rng,
-        );
-        let b =
-            flexagon_sparse::gen::random(64, 32, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
-        let f = Flexagon::with_defaults();
-        let ex = f
-            .execute(ExecutionRequest::new(&a, &b).format_choice(FormatChoice::Auto))
-            .unwrap();
-        assert!(ex.format.is_lossless());
-        assert_eq!(ex.format, crate::mapper::heuristic_format(&a));
-        // The resolved choice is result-transparent against the baseline.
-        let base = f
-            .execute(ExecutionRequest::new(&a, &b).dataflow(ex.dataflow))
-            .unwrap();
-        assert_eq!(ex.output.c, base.output.c);
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub struct EngineConfig {
     pub shard_workers: usize,
     /// Default fiber storage format for requests that leave the format
     /// to the config (`FormatChoice::Config`; [`FiberFormat::Soa`] by
-    /// default). A lossless format is a footprint label: the run reads
-    /// the caller's operands untouched, so reports and outputs are
+    /// default). A lossless format is a label: the run reads the
+    /// caller's operands untouched, so reports and outputs are
     /// byte-identical to the SoA run. The lossy [`FiberFormat::Quant8`]
     /// is the one format that changes values, and applies only when set
     /// here or pinned on the request (opt-in). The engine itself never

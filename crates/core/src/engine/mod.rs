@@ -191,9 +191,9 @@ pub(crate) fn execute(
 }
 
 /// Chooses and precomputes the Inner-Product strategy state. The dispatch
-/// thresholds live on `EngineConfig` (ROADMAP item (b)): the k-indexed path
-/// wins when K dwarfs the array and its dense `clusters x N` accumulator
-/// grid stays affordable.
+/// thresholds live on `EngineConfig`: the k-indexed path wins when K
+/// dwarfs the array and its dense `clusters x N` accumulator grid stays
+/// affordable.
 fn ip_shared(cfg: &AcceleratorConfig, a: MatrixView<'_>, b: MatrixView<'_>) -> IpShared {
     let k_dim = a.cols() as usize;
     let n_dim = b.major_dim() as usize;

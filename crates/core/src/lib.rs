@@ -13,11 +13,11 @@
 //!   [`SigmaLike`], [`SparchLike`], [`GammaLike`] and [`CpuMkl`].
 //! * [`ExecutionReport`] — cycles, phase split, on-/off-chip traffic, cache
 //!   and PSRAM statistics for one SpMSpM execution.
-//! * [`mapper`] — per-layer `(dataflow, format)` selection:
-//!   [`MappingStrategy`] (oracle sweep, calibrated heuristic, or pinned
-//!   dataflow) with the fitted [`MapperCalibration`] cost-model
-//!   corrections, plus [`FormatChoice`]/[`FormatSelection`] for the
-//!   storage-format axis.
+//! * [`mapper`] — per-layer dataflow selection: [`MappingStrategy`]
+//!   (oracle sweep, calibrated heuristic, or pinned dataflow) with the
+//!   fitted [`MapperCalibration`] cost-model corrections, plus
+//!   [`FormatChoice`], which takes the config's storage format or pins
+//!   one.
 //! * [`Accelerator::execute`] — the one execution entry point: an
 //!   [`ExecutionRequest`] carries strategy, format, validation and an
 //!   optional [`CancelToken`] deadline. An accelerator is a plain
@@ -54,9 +54,7 @@ pub use config::{AcceleratorConfig, EngineConfig};
 pub use cpu::{CpuConfig, CpuMkl};
 pub use dataflow::{Dataflow, DataflowClass, Stationarity};
 pub use error::CoreError;
-pub use mapper::{
-    ClassCalibration, FormatChoice, FormatSelection, MapperCalibration, MappingStrategy,
-};
+pub use mapper::{ClassCalibration, FormatChoice, MapperCalibration, MappingStrategy};
 pub use report::{ExecutionReport, TrafficReport};
 
 /// Convenience result alias for accelerator operations.

@@ -17,20 +17,16 @@
 //!   `mapper_accuracy` binary audits the choices against the oracle).
 //! * [`MappingStrategy::Fixed`] — pin one dataflow, bypassing selection.
 //!
-//! Since the format-adaptive storage tier landed, the mapper's decision is
-//! the *pair* `(dataflow, format)`: [`FormatChoice`] names how the fiber
-//! storage format is picked (config default, per-operand heuristic, or
-//! pinned token), [`FormatSelection`] holds the shape thresholds the
-//! heuristic reads from [`FormatStats`], and
-//! [`MappingStrategy::parse_spec`] parses the compound
-//! `strategy@format` client token.
+//! A request also names a storage format: [`FormatChoice`] takes the
+//! config's format or pins a token, and [`MappingStrategy::parse_spec`]
+//! parses the compound `strategy@format` client token. No format is
+//! chosen from the operands: the lossless labels change nothing, and the
+//! lossy `q8` is opt-in.
 
 use crate::{
     Accelerator, AcceleratorConfig, Dataflow, DataflowClass, ExecutionRequest, Result, RunOutput,
 };
-use flexagon_sparse::{
-    stats::SpGemmWork, CompressedMatrix, FiberFormat, FormatStats, ELEMENT_BYTES,
-};
+use flexagon_sparse::{stats::SpGemmWork, CompressedMatrix, FiberFormat, ELEMENT_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// How an accelerator chooses the dataflow for one SpMSpM operation.
@@ -93,17 +89,14 @@ impl MappingStrategy {
     }
 }
 
-/// How the fiber storage format is chosen for one execution — the format
-/// axis of the mapper's `(dataflow, format)` decision, carried alongside a
-/// [`MappingStrategy`].
+/// How the fiber storage format is chosen for one execution, carried
+/// alongside a [`MappingStrategy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FormatChoice {
     /// Use the format on the accelerator's [`crate::EngineConfig`] (the
     /// SoA baseline unless the config says otherwise). The default.
     #[default]
     Config,
-    /// Pick per operand via [`heuristic_format`] (lossless formats only).
-    Auto,
     /// Pin the given format, exactly like pinning a dataflow.
     Fixed(FiberFormat),
 }
@@ -112,7 +105,6 @@ impl std::fmt::Display for FormatChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Config => write!(f, "config"),
-            Self::Auto => write!(f, "auto"),
             Self::Fixed(fmt) => write!(f, "{}", fmt.token()),
         }
     }
@@ -121,107 +113,18 @@ impl std::fmt::Display for FormatChoice {
 impl std::str::FromStr for FormatChoice {
     type Err = String;
 
-    /// Parses `"config"`, `"auto"`, or a [`FiberFormat`] token (`"soa"`,
-    /// `"bcsr4"`, `"ell"`, ...) meaning `Fixed`.
+    /// Parses `"config"` or a [`FiberFormat`] token (`"soa"`, `"bcsr4"`,
+    /// `"ell"`, ...) meaning `Fixed`.
     fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
         match s {
             "config" => Ok(Self::Config),
-            "auto" => Ok(Self::Auto),
-            other => other
-                .parse::<FiberFormat>()
-                .map(Self::Fixed)
-                .map_err(|_| format!(
-                    "unknown format choice '{other}' (expected config, auto, or a format token like bcsr4)"
-                )),
+            other => other.parse::<FiberFormat>().map(Self::Fixed).map_err(|_| {
+                format!(
+                    "unknown format choice '{other}' (expected config or a format token like bcsr4)"
+                )
+            }),
         }
     }
-}
-
-/// Shape thresholds for [`choose_format`] — the format-tier analogue of
-/// [`MapperCalibration`], kept as its own struct so the calibration's
-/// serde shape (embedded in `MAPPER_accuracy.json`) stays frozen.
-///
-/// The defaults are the exact byte crossovers of the encoded layouts
-/// (see `FormattedMatrix::footprint_bytes`): a width-`w` blocked fiber
-/// costs `(5 + 4w) / (w · fill_w)` bytes per element against SoA's 8, so
-/// 4-wide blocks pay off past `fill4 = 21/32` (and 8-wide past
-/// `37/64`, the same knob rescaled by `37/42`); the ELL grid only pays
-/// off when rows are uniform (low CV) *and* the padding bytes stay under
-/// the pointer-array savings. The `format_kernels` bench group measures
-/// the kernel-side win at these same fills (the masked dot amortizes one
-/// base compare over `fill x width` multiply-adds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FormatSelection {
-    /// Minimum 4-wide block fill ([`FormatStats::block_fill4`]) for the
-    /// blocked format to win.
-    pub min_block_fill: f64,
-    /// Maximum row-length coefficient of variation
-    /// ([`FormatStats::row_len_cv`]) for the ELL grid.
-    pub max_row_cv: f64,
-    /// Maximum ELL padding ratio ([`FormatStats::ell_waste`]).
-    pub max_ell_waste: f64,
-}
-
-impl FormatSelection {
-    /// Default for [`FormatSelection::min_block_fill`]: the byte
-    /// crossover of the 4-wide blocked layout, `(5 + 16) / 32`.
-    pub const DEFAULT_MIN_BLOCK_FILL: f64 = 21.0 / 32.0;
-    /// Default for [`FormatSelection::max_row_cv`].
-    pub const DEFAULT_MAX_ROW_CV: f64 = 0.25;
-    /// Default for [`FormatSelection::max_ell_waste`].
-    pub const DEFAULT_MAX_ELL_WASTE: f64 = 1.0;
-}
-
-impl Default for FormatSelection {
-    fn default() -> Self {
-        Self {
-            min_block_fill: Self::DEFAULT_MIN_BLOCK_FILL,
-            max_row_cv: Self::DEFAULT_MAX_ROW_CV,
-            max_ell_waste: Self::DEFAULT_MAX_ELL_WASTE,
-        }
-    }
-}
-
-/// Picks a *lossless* storage format from a matrix's shape statistics:
-/// dense-clustered coordinates (high block fill) take the blocked format,
-/// uniform rows within the padding budget take ELL, everything else stays
-/// on the SoA baseline. Quantization is never selected implicitly — it is
-/// lossy and strictly opt-in.
-pub fn choose_format(stats: &FormatStats, sel: &FormatSelection) -> FiberFormat {
-    if stats.nnz == 0 {
-        return FiberFormat::Soa;
-    }
-    // Blocked vs SoA, per width: (5 + 4w)/(w · fill_w) bytes per element
-    // against 8. The knob is expressed at width 4; the width-8 gate is the
-    // same knob rescaled by the exact byte ratio 37/42 between the two
-    // widths' crossovers (37/64 = 21/32 · 37/42).
-    let beats_soa4 = stats.block_fill4 >= sel.min_block_fill;
-    let beats_soa8 = stats.block_fill8 >= sel.min_block_fill * (37.0 / 42.0);
-    // Between the widths, 8-wide stores fewer bytes iff
-    // 37/(8·fill8) < 21/(4·fill4), i.e. 42·fill8 > 37·fill4.
-    if beats_soa8 && (!beats_soa4 || 42.0 * stats.block_fill8 >= 37.0 * stats.block_fill4) {
-        return FiberFormat::Bcsr8;
-    }
-    if beats_soa4 {
-        return FiberFormat::Bcsr4;
-    }
-    // The ELL grid: uniform rows (low CV), padding within the configured
-    // budget, and — the byte condition — padding cells cheaper than the
-    // pointer array the grid replaces (8·waste·nnz ≤ 4·fibers + 8).
-    if stats.row_len_cv <= sel.max_row_cv
-        && stats.ell_waste <= sel.max_ell_waste
-        && 8.0 * stats.ell_waste * stats.nnz as f64 <= 4.0 * stats.fibers as f64 + 8.0
-    {
-        return FiberFormat::Ell;
-    }
-    FiberFormat::Soa
-}
-
-/// The per-operand format heuristic behind [`FormatChoice::Auto`]:
-/// [`choose_format`] over the stationary operand's [`FormatStats`] with
-/// the default [`FormatSelection`] thresholds.
-pub fn heuristic_format(a: &CompressedMatrix) -> FiberFormat {
-    choose_format(&FormatStats::of(a), &FormatSelection::default())
 }
 
 /// Fitted linear correction for one dataflow class's closed-form estimate:
@@ -808,13 +711,7 @@ mod tests {
                 FormatChoice::Fixed(FiberFormat::Bcsr4)
             )
         );
-        assert_eq!(
-            MappingStrategy::parse_spec("gust-m@auto").unwrap(),
-            (
-                MappingStrategy::Fixed(Dataflow::GustavsonM),
-                FormatChoice::Auto
-            )
-        );
+        assert!(MappingStrategy::parse_spec("gust-m@auto").is_err());
         assert!(MappingStrategy::parse_spec("heuristic@csr5").is_err());
         assert!(MappingStrategy::parse_spec("nope@ell").is_err());
     }
@@ -823,7 +720,6 @@ mod tests {
     fn format_choice_parses_and_displays() {
         for (token, want) in [
             ("config", FormatChoice::Config),
-            ("auto", FormatChoice::Auto),
             ("ell", FormatChoice::Fixed(FiberFormat::Ell)),
             ("q8", FormatChoice::Fixed(FiberFormat::Quant8)),
         ] {
@@ -831,34 +727,8 @@ mod tests {
             assert_eq!(want.to_string(), token);
         }
         assert!("csr5".parse::<FormatChoice>().is_err());
+        assert!("auto".parse::<FormatChoice>().is_err());
         assert_eq!(FormatChoice::default(), FormatChoice::Config);
-    }
-
-    #[test]
-    fn format_heuristic_reads_the_shape() {
-        let mut rng = ChaCha8Rng::seed_from_u64(20);
-        // Dense 8x8 blocks at 90% fill: both block fills are high and the
-        // wide block stores fewer bytes -> 8-wide blocked.
-        let clustered = gen::block_sparse(128, 128, 8, 0.9, MajorOrder::Row, &mut rng);
-        assert_eq!(heuristic_format(&clustered), FiberFormat::Bcsr8);
-        // A plain diagonal: perfectly uniform rows, zero padding -> ELL.
-        let diag = gen::diagonal(256, 1.0, MajorOrder::Row);
-        assert_eq!(heuristic_format(&diag), FiberFormat::Ell);
-        // Scattered sparse with skewed row lengths -> stays SoA.
-        let skewed = gen::rmat(
-            10,
-            2048,
-            (0.57, 0.19, 0.19, 0.05),
-            MajorOrder::Row,
-            &mut rng,
-        );
-        assert_eq!(heuristic_format(&skewed), FiberFormat::Soa);
-        // Empty -> SoA, and never a lossy pick anywhere.
-        let empty = CompressedMatrix::zero(16, 16, MajorOrder::Row);
-        assert_eq!(heuristic_format(&empty), FiberFormat::Soa);
-        for m in [&clustered, &diag, &skewed, &empty] {
-            assert!(heuristic_format(m).is_lossless());
-        }
     }
 
     #[test]

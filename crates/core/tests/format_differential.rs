@@ -1,12 +1,9 @@
 //! Differential tests for the storage-format tier of `Accelerator::execute`:
-//! a *lossless* format is a footprint label that runs on the caller's
-//! operands, so it must be result-transparent — byte-identical output
-//! matrix **and** byte-identical execution report — against the SoA
-//! baseline, across all six dataflows and the adversarial generator sweep.
-//! `q8` is the one format that changes values.
-//!
-//! This is the contract that lets the mapper treat format as a free
-//! mapping dimension without re-blessing goldens.
+//! a *lossless* format is a label that runs on the caller's operands, so it
+//! must be result-transparent — byte-identical output matrix **and**
+//! byte-identical execution report — against the SoA baseline, across all
+//! six dataflows and the adversarial generator sweep. `q8` is the one
+//! format that changes values.
 
 use flexagon_core::{Accelerator, AcceleratorConfig, Dataflow, ExecutionRequest, Flexagon};
 use flexagon_sparse::{gen, DenseMatrix, FiberFormat, FormattedMatrix};
@@ -92,30 +89,6 @@ fn quantized_execution_stays_within_tolerance() {
         assert!(
             got.approx_eq(&want_exact, 0.5),
             "{df}: quantized run drifted past the documented tolerance"
-        );
-    }
-}
-
-/// `FormatChoice::Auto` never picks the lossy tier, whatever the operand
-/// structure — quantization is strictly opt-in.
-#[test]
-fn auto_selection_never_picks_quant() {
-    let mut rng = ChaCha8Rng::seed_from_u64(31);
-    let scenarios = gen::adversarial_sweep(&mut rng);
-    let accel = Flexagon::new(AcceleratorConfig::tiny());
-    for s in &scenarios {
-        let ex = accel
-            .execute(
-                ExecutionRequest::new(&s.a, &s.b)
-                    .strategy(flexagon_core::MappingStrategy::Heuristic)
-                    .format_choice(flexagon_core::FormatChoice::Auto),
-            )
-            .unwrap_or_else(|e| panic!("{}: auto run failed: {e}", s.name));
-        assert!(
-            ex.format.is_lossless(),
-            "{}: auto picked lossy {}",
-            s.name,
-            ex.format
         );
     }
 }

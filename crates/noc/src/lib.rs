@@ -9,9 +9,6 @@
 //!   tree whose nodes act as adders, comparators, or both, unifying the
 //!   reduction (Inner Product) and merging (Outer Product / Gustavson's)
 //!   operations on the same substrate.
-//! * [`FanNetwork`] and [`MergerTree`] — the single-purpose reduction and
-//!   merger networks of the SIGMA-like, SpArch-like and GAMMA-like
-//!   baselines, exposing only the operation their dataflow needs.
 //!
 //! All networks are functionally exact (they move real elements) and charge
 //! cycles with the pipelined-tree model: fill latency = tree depth, then
@@ -25,5 +22,5 @@ mod mrn;
 mod multiplier;
 
 pub use distribution::{CastKind, DistributionNetwork, DnConfig};
-pub use mrn::{FanNetwork, MergeOutcome, MergerReductionNetwork, MergerTree, MrnConfig, NodeMode};
+pub use mrn::{MergeOutcome, MergerReductionNetwork, MrnConfig};
 pub use multiplier::{MnConfig, MultiplierMode, MultiplierNetwork};

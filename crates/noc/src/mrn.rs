@@ -1,8 +1,8 @@
-//! The Merger-Reduction Network and the baselines' single-purpose trees.
+//! The Merger-Reduction Network.
 //!
 //! The MRN (paper §3.1, Fig. 4a/b) is an augmented binary tree whose nodes
-//! hold an adder, a comparator and switching logic. Depending on the
-//! configured [`NodeMode`], the tree:
+//! hold an adder, a comparator and switching logic. Depending on how its
+//! nodes are configured, the tree:
 //!
 //! * **reduces** clusters of partial products into full sums (Inner
 //!   Product) — nodes act as adders, like SIGMA's FAN;
@@ -16,19 +16,6 @@
 use flexagon_sim::{cycles_for, Bandwidth, Cycle};
 use flexagon_sparse::{merge, Fiber, FiberView};
 use serde::{Deserialize, Serialize};
-
-/// Mode of an MRN node (Fig. 4b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum NodeMode {
-    /// Pure adder (Inner-Product reduction).
-    Adder,
-    /// Pure comparator (forward lower coordinate).
-    Comparator,
-    /// Compare coordinates, add on match (merge with accumulation).
-    CompareAndAdd,
-    /// Node not used by the current configuration.
-    Unconfigured,
-}
 
 /// Geometry and bandwidth of a reduction/merger tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,9 +68,9 @@ pub struct MergeOutcome {
     pub additions: u64,
 }
 
-/// Shared implementation of a pipelined tree that can merge and/or reduce.
+/// The unified Merger-Reduction Network of Flexagon.
 #[derive(Debug, Clone)]
-struct Tree {
+pub struct MergerReductionNetwork {
     cfg: MrnConfig,
     additions: u64,
     comparisons: u64,
@@ -91,8 +78,9 @@ struct Tree {
     reduced_products: u64,
 }
 
-impl Tree {
-    fn new(cfg: MrnConfig) -> Self {
+impl MergerReductionNetwork {
+    /// Creates an MRN with the given geometry.
+    pub fn new(cfg: MrnConfig) -> Self {
         Self {
             cfg,
             additions: 0,
@@ -102,7 +90,34 @@ impl Tree {
         }
     }
 
-    fn merge_fibers(&mut self, fibers: &[FiberView<'_>]) -> MergeOutcome {
+    /// Creates the paper's 64-leaf, 16 elements/cycle MRN.
+    pub fn with_defaults() -> Self {
+        Self::new(MrnConfig::default())
+    }
+
+    /// The tree geometry.
+    pub fn config(&self) -> MrnConfig {
+        self.cfg
+    }
+
+    /// Largest number of fibers a single merge pass can take.
+    pub fn max_radix(&self) -> usize {
+        self.cfg.leaves as usize
+    }
+
+    /// Pipeline fill latency (tree depth).
+    pub fn fill_latency(&self) -> Cycle {
+        self.cfg.depth() as Cycle
+    }
+
+    /// Merges up to `leaves` coordinate-sorted fibers in one pass
+    /// (comparator/compare-and-add mode).
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than `leaves` fibers are supplied; the engine is
+    /// responsible for splitting larger merges into multiple passes.
+    pub fn merge_fibers(&mut self, fibers: &[FiberView<'_>]) -> MergeOutcome {
         assert!(
             fibers.len() <= self.cfg.leaves as usize,
             "a single pass can merge at most {} fibers, got {}",
@@ -127,15 +142,18 @@ impl Tree {
         }
     }
 
-    /// Charges one merge pass without running it: `input_elements` sorted
-    /// elements enter the tree and `output_len` distinct coordinates leave.
+    /// Charges the cycle and counter model of one merge pass whose merged
+    /// fiber the caller produced elsewhere (a [`flexagon_sparse::RowAccum`]
+    /// scatter): `input_elements` total elements entered, `output_len`
+    /// distinct coordinates left.
     ///
-    /// The counter arithmetic is exactly [`Tree::merge_fibers`]'s — one
-    /// comparison per element popped, one addition per coordinate collision
+    /// The counter arithmetic is exactly
+    /// [`MergerReductionNetwork::merge_fibers`]'s — one comparison per
+    /// element popped, one addition per coordinate collision
     /// (`input - output`), depth + bandwidth-limited streaming for the
     /// cycles — so an engine that materializes the merged fiber elsewhere
-    /// (the accumulator paths) keeps reports bit-identical.
-    fn charge_merge(&mut self, input_elements: u64, output_len: u64) -> Cycle {
+    /// keeps reports bit-identical.
+    pub fn charge_merge(&mut self, input_elements: u64, output_len: u64) -> Cycle {
         debug_assert!(output_len <= input_elements, "merge cannot grow output");
         self.comparisons += input_elements;
         self.additions += input_elements - output_len;
@@ -147,220 +165,38 @@ impl Tree {
         }
     }
 
-    fn reduce(&mut self, products: u64) -> Cycle {
+    /// Streams `products` partial products through the adders (adder mode)
+    /// and returns the cycles the tree's input side is occupied.
+    pub fn reduce(&mut self, products: u64) -> Cycle {
         self.reduced_products += products;
         self.additions += products.saturating_sub(1);
         // The leaves absorb up to `leaves` products per cycle; fill latency
         // is charged once per tile by the engine.
         cycles_for(products, self.cfg.leaves as u64)
     }
-}
-
-/// The unified Merger-Reduction Network of Flexagon.
-#[derive(Debug, Clone)]
-pub struct MergerReductionNetwork {
-    tree: Tree,
-}
-
-impl MergerReductionNetwork {
-    /// Creates an MRN with the given geometry.
-    pub fn new(cfg: MrnConfig) -> Self {
-        Self {
-            tree: Tree::new(cfg),
-        }
-    }
-
-    /// Creates the paper's 64-leaf, 16 elements/cycle MRN.
-    pub fn with_defaults() -> Self {
-        Self::new(MrnConfig::default())
-    }
-
-    /// The tree geometry.
-    pub fn config(&self) -> MrnConfig {
-        self.tree.cfg
-    }
-
-    /// Largest number of fibers a single merge pass can take.
-    pub fn max_radix(&self) -> usize {
-        self.tree.cfg.leaves as usize
-    }
-
-    /// Pipeline fill latency (tree depth).
-    pub fn fill_latency(&self) -> Cycle {
-        self.tree.cfg.depth() as Cycle
-    }
-
-    /// Merges up to `leaves` coordinate-sorted fibers in one pass
-    /// (comparator/compare-and-add mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `leaves` fibers are supplied; the engine is
-    /// responsible for splitting larger merges into multiple passes.
-    pub fn merge_fibers(&mut self, fibers: &[FiberView<'_>]) -> MergeOutcome {
-        self.tree.merge_fibers(fibers)
-    }
-
-    /// Charges the cycle and counter model of one merge pass whose merged
-    /// fiber the caller produced elsewhere (a [`flexagon_sparse::RowAccum`]
-    /// scatter): `input_elements` total elements entered, `output_len`
-    /// distinct coordinates left. Identical arithmetic to
-    /// [`MergerReductionNetwork::merge_fibers`].
-    pub fn charge_merge(&mut self, input_elements: u64, output_len: u64) -> Cycle {
-        self.tree.charge_merge(input_elements, output_len)
-    }
-
-    /// Streams `products` partial products through the adders (adder mode)
-    /// and returns the cycles the tree's input side is occupied.
-    pub fn reduce(&mut self, products: u64) -> Cycle {
-        self.tree.reduce(products)
-    }
 
     /// Total additions performed (both modes).
     pub fn additions(&self) -> u64 {
-        self.tree.additions
+        self.additions
     }
 
     /// Total coordinate comparisons performed.
     pub fn comparisons(&self) -> u64 {
-        self.tree.comparisons
+        self.comparisons
     }
 
     /// Total elements that entered merge passes.
     pub fn merged_input_elements(&self) -> u64 {
-        self.tree.merged_in_elements
+        self.merged_in_elements
     }
 
     /// Total products that entered reductions.
     pub fn reduced_products(&self) -> u64 {
-        self.tree.reduced_products
+        self.reduced_products
     }
 }
 
 impl Default for MergerReductionNetwork {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
-/// SIGMA's FAN: a reduction-only tree (no comparators, no merging).
-///
-/// The type system enforces the paper's Table 1: an Inner-Product
-/// accelerator built around FAN has no merge capability at all.
-#[derive(Debug, Clone)]
-pub struct FanNetwork {
-    tree: Tree,
-}
-
-impl FanNetwork {
-    /// Creates a FAN with the given geometry.
-    pub fn new(cfg: MrnConfig) -> Self {
-        Self {
-            tree: Tree::new(cfg),
-        }
-    }
-
-    /// Creates the 64-leaf FAN used by the SIGMA-like baseline.
-    pub fn with_defaults() -> Self {
-        Self::new(MrnConfig::default())
-    }
-
-    /// The tree geometry.
-    pub fn config(&self) -> MrnConfig {
-        self.tree.cfg
-    }
-
-    /// Pipeline fill latency (tree depth).
-    pub fn fill_latency(&self) -> Cycle {
-        self.tree.cfg.depth() as Cycle
-    }
-
-    /// Streams `products` partial products through the adder tree.
-    pub fn reduce(&mut self, products: u64) -> Cycle {
-        self.tree.reduce(products)
-    }
-
-    /// Total additions performed.
-    pub fn additions(&self) -> u64 {
-        self.tree.additions
-    }
-
-    /// Total products reduced.
-    pub fn reduced_products(&self) -> u64 {
-        self.tree.reduced_products
-    }
-}
-
-impl Default for FanNetwork {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
-/// SpArch/GAMMA-style merger: a merge-only comparator tree.
-///
-/// Mirrors [`FanNetwork`]: an Outer-Product or Gustavson accelerator built
-/// around a merger cannot reduce dot products.
-#[derive(Debug, Clone)]
-pub struct MergerTree {
-    tree: Tree,
-}
-
-impl MergerTree {
-    /// Creates a merger with the given geometry.
-    pub fn new(cfg: MrnConfig) -> Self {
-        Self {
-            tree: Tree::new(cfg),
-        }
-    }
-
-    /// Creates the 64-leaf merger used by the SpArch-like and GAMMA-like
-    /// baselines.
-    pub fn with_defaults() -> Self {
-        Self::new(MrnConfig::default())
-    }
-
-    /// The tree geometry.
-    pub fn config(&self) -> MrnConfig {
-        self.tree.cfg
-    }
-
-    /// Largest number of fibers a single merge pass can take.
-    pub fn max_radix(&self) -> usize {
-        self.tree.cfg.leaves as usize
-    }
-
-    /// Pipeline fill latency (tree depth).
-    pub fn fill_latency(&self) -> Cycle {
-        self.tree.cfg.depth() as Cycle
-    }
-
-    /// Merges up to `leaves` coordinate-sorted fibers in one pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `leaves` fibers are supplied.
-    pub fn merge_fibers(&mut self, fibers: &[FiberView<'_>]) -> MergeOutcome {
-        self.tree.merge_fibers(fibers)
-    }
-
-    /// Total coordinate comparisons performed.
-    pub fn comparisons(&self) -> u64 {
-        self.tree.comparisons
-    }
-
-    /// Total additions performed (coordinate collisions).
-    pub fn additions(&self) -> u64 {
-        self.tree.additions
-    }
-
-    /// Total elements that entered merge passes.
-    pub fn merged_input_elements(&self) -> u64 {
-        self.tree.merged_in_elements
-    }
-}
-
-impl Default for MergerTree {
     fn default() -> Self {
         Self::with_defaults()
     }
@@ -468,26 +304,6 @@ mod tests {
         assert_eq!(mrn.additions(), 9 + 1);
         assert!(mrn.comparisons() >= 1);
         assert_eq!(mrn.merged_input_elements(), 2);
-    }
-
-    #[test]
-    fn fan_reduces_like_mrn() {
-        let mut fan = FanNetwork::with_defaults();
-        assert_eq!(fan.reduce(128), 2);
-        assert_eq!(fan.reduced_products(), 128);
-        assert_eq!(fan.additions(), 127);
-        assert_eq!(fan.fill_latency(), 6);
-    }
-
-    #[test]
-    fn merger_tree_merges_like_mrn() {
-        let mut m = MergerTree::with_defaults();
-        let a = fiber(&[(1, 1.0), (2, 1.0)]);
-        let b = fiber(&[(2, 1.0)]);
-        let out = m.merge_fibers(&[a.as_view(), b.as_view()]);
-        assert_eq!(out.fiber.get(2), Some(2.0));
-        assert_eq!(m.merged_input_elements(), 3);
-        assert_eq!(m.max_radix(), 64);
     }
 
     #[test]

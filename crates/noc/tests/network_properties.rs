@@ -1,8 +1,6 @@
 //! Property-based tests for the on-chip networks.
 
-use flexagon_noc::{
-    DistributionNetwork, DnConfig, FanNetwork, MergerReductionNetwork, MergerTree, MrnConfig,
-};
+use flexagon_noc::{DistributionNetwork, DnConfig, MergerReductionNetwork, MrnConfig};
 use flexagon_sim::Bandwidth;
 use flexagon_sparse::{merge, Element, Fiber};
 use proptest::prelude::*;
@@ -47,27 +45,6 @@ proptest! {
             let want = 6 + (volume as u64).div_ceil(16);
             prop_assert_eq!(out.cycles, want);
         }
-    }
-
-    /// The MRN and the baseline merger produce identical merges — the MRN
-    /// unifies, it does not change semantics.
-    #[test]
-    fn mrn_and_merger_agree(fibers in fibers_strategy()) {
-        let mut mrn = MergerReductionNetwork::with_defaults();
-        let mut merger = MergerTree::with_defaults();
-        let views: Vec<_> = fibers.iter().map(Fiber::as_view).collect();
-        let a = mrn.merge_fibers(&views);
-        let b = merger.merge_fibers(&views);
-        prop_assert_eq!(a.fiber, b.fiber);
-        prop_assert_eq!(a.cycles, b.cycles);
-    }
-
-    /// FAN and MRN charge identical reduction cycles.
-    #[test]
-    fn fan_and_mrn_reduce_identically(products in 0u64..10_000) {
-        let mut fan = FanNetwork::with_defaults();
-        let mut mrn = MergerReductionNetwork::with_defaults();
-        prop_assert_eq!(fan.reduce(products), mrn.reduce(products));
     }
 
     /// DN injection cycles depend only on injected volume, never fan-out.

@@ -15,9 +15,9 @@
 //! | `model`    | `tenant?`, `model` (suite short code or name), `strategy?`, `format?`, `seed?`, `timeout_ms?` |
 //!
 //! `format` pins the fiber storage format like `strategy` pins the
-//! dataflow: a [`FormatChoice`] token (`auto`, `soa`, `bcsr4`, `bcsr8`,
-//! `ell`, `q8`). Omitted, the daemon's configured default applies. An
-//! unknown token is a typed `bad_request`.
+//! dataflow: a [`FormatChoice`] token (`soa`, `bcsr4`, `bcsr8`, `ell`,
+//! `q8`). Omitted, the daemon's configured default applies. An unknown
+//! token, `auto` included, is a typed `bad_request`.
 //! | `stats`    | — |
 //! | `shutdown` | — (begins a graceful drain) |
 //!
@@ -176,9 +176,7 @@ pub struct ModelRequest {
     pub model: String,
     /// Dataflow selection per layer.
     pub strategy: MappingStrategy,
-    /// Fiber storage format for every layer. `auto` is SpGEMM-only (a
-    /// model run spans many layers); the server rejects it as
-    /// `bad_request`.
+    /// Fiber storage format for every layer.
     pub format: FormatChoice,
     /// Workload materialization seed (default [`flexagon_bench::runner::DEFAULT_SEED`]).
     pub seed: u64,
@@ -749,7 +747,6 @@ mod tests {
     fn format_tokens_roundtrip_and_default_is_omitted() {
         use flexagon_sparse::FiberFormat;
         for (choice, token) in [
-            (FormatChoice::Auto, "auto"),
             (FormatChoice::Fixed(FiberFormat::Bcsr4), "bcsr4"),
             (FormatChoice::Fixed(FiberFormat::Ell), "ell"),
             (FormatChoice::Fixed(FiberFormat::Quant8), "q8"),
@@ -773,9 +770,15 @@ mod tests {
 
     #[test]
     fn unknown_format_token_is_bad_request() {
-        let err = parse_request(br#"{"type":"spgemm","format":"csr5"}"#).unwrap_err();
-        assert_eq!(err.0, ErrorCode::BadRequest);
-        assert!(err.1.contains("csr5"), "detail names the token: {}", err.1);
+        for (frame, token) in [
+            (&br#"{"type":"spgemm","format":"csr5"}"#[..], "csr5"),
+            (br#"{"type":"spgemm","format":"auto"}"#, "auto"),
+            (br#"{"type":"model","model":"A","format":"auto"}"#, "auto"),
+        ] {
+            let err = parse_request(frame).unwrap_err();
+            assert_eq!(err.0, ErrorCode::BadRequest);
+            assert!(err.1.contains(token), "detail names the token: {}", err.1);
+        }
     }
 
     #[test]

@@ -91,8 +91,7 @@ pub enum JobKind {
         model: DnnModel,
         /// Dataflow selection per layer.
         strategy: MappingStrategy,
-        /// Fiber storage format for every layer (`Auto` is rejected at the
-        /// server before a job is built).
+        /// Fiber storage format for every layer.
         format: FormatChoice,
         /// Workload materialization seed.
         seed: u64,

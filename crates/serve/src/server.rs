@@ -17,7 +17,7 @@ use crate::protocol::{
 };
 use crate::scheduler::{resolve_operands, Job, JobKind, Scheduler};
 use crate::stats::StatsRegistry;
-use flexagon_core::{EngineConfig, FormatChoice};
+use flexagon_core::EngineConfig;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -307,14 +307,6 @@ fn handle_request(shared: &Arc<ServerShared>, request: Request) -> Response {
             )
         }
         Request::Model(r) => {
-            if r.format == FormatChoice::Auto {
-                return Response::Error {
-                    code: ErrorCode::BadRequest,
-                    detail: "format 'auto' is spgemm-only; pin a format token (soa, bcsr4, \
-                             bcsr8, ell, q8) for model runs"
-                        .to_owned(),
-                };
-            }
             let Some(model) = flexagon_dnn::suite().into_iter().find(|m| {
                 m.short.eq_ignore_ascii_case(&r.model) || m.name.eq_ignore_ascii_case(&r.model)
             }) else {

@@ -27,10 +27,9 @@ fn strategy_from(idx: usize) -> MappingStrategy {
 }
 
 fn format_from(idx: usize) -> FormatChoice {
-    match idx % 7 {
+    match idx % 6 {
         0 => FormatChoice::Config,
-        1 => FormatChoice::Auto,
-        n => FormatChoice::Fixed(FiberFormat::ALL[n - 2]),
+        n => FormatChoice::Fixed(FiberFormat::ALL[n - 1]),
     }
 }
 

@@ -35,7 +35,7 @@ use crate::{merge, Fiber, FiberView, Value};
 use serde::{Deserialize, Serialize};
 
 /// Tier-selection thresholds for [`RowAccum`], exposed so the engine's
-/// calibration (ROADMAP item (b)) can tune them without code edits.
+/// calibration can tune them without code edits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccumConfig {
     /// Dense tier when `span <= nnz_hint * dense_span_per_elem`: each
@@ -323,64 +323,6 @@ impl RowAccum {
         }
     }
 
-    /// Scatters a [`BlockedFiber`](crate::BlockedFiber) scaled by `factor`
-    /// into the row without first materializing its SoA form — the
-    /// blocked-format drain into the psum tiers. Bit-identical to
-    /// `scatter_scaled(decoded, factor)`: the blocked walk visits elements
-    /// in the same ascending coordinate order and applies the same
-    /// per-element operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the accumulator is not armed.
-    pub fn scatter_blocked(&mut self, fiber: &crate::BlockedFiber, factor: Value) {
-        match self.tier.expect("scatter on an un-armed accumulator") {
-            AccumTier::Dense => {
-                fiber.for_each(|c, v| {
-                    let bit = (c - self.lo) as usize;
-                    let (w, m) = (bit >> 6, 1u64 << (bit & 63));
-                    if self.words[w] & m == 0 {
-                        self.words[w] |= m;
-                        self.vals[bit] = v * factor;
-                        self.distinct += 1;
-                    } else {
-                        self.vals[bit] += v * factor;
-                    }
-                });
-            }
-            AccumTier::Paged => {
-                fiber.for_each(|c, v| {
-                    let bit = (c - self.lo) as usize;
-                    let (w, m) = (bit >> 6, 1u64 << (bit & 63));
-                    let mut page = self.pages[w];
-                    if page == NO_PAGE {
-                        page = (self.page_pool.len() / 64) as u32;
-                        self.page_pool.resize(self.page_pool.len() + 64, 0.0);
-                        self.pages[w] = page;
-                    }
-                    let slot = page as usize * 64 + (bit & 63);
-                    if self.words[w] & m == 0 {
-                        self.words[w] |= m;
-                        self.page_pool[slot] = v * factor;
-                        self.distinct += 1;
-                    } else {
-                        self.page_pool[slot] += v * factor;
-                    }
-                });
-            }
-            AccumTier::Runs => {
-                if fiber.is_empty() {
-                    return;
-                }
-                let decoded = fiber.decode();
-                let mut run = self.spare.pop().unwrap_or_default();
-                run.scale_from(decoded.as_view(), factor);
-                self.runs.push(run);
-                self.collapse_if_full();
-            }
-        }
-    }
-
     /// Appends an owned, coordinate-sorted fiber as the next merge source
     /// (runs tier only) — the zero-copy form for fibers the caller already
     /// materialized, such as a split row's per-chunk psum fibers.
@@ -648,44 +590,6 @@ mod tests {
         let got = acc.drain();
         assert_eq!(got.get(5), Some(5.0));
         assert_eq!(got.len(), 2);
-    }
-
-    #[test]
-    fn scatter_blocked_matches_scatter_scaled() {
-        use crate::BlockedFiber;
-        // One batch per tier: clustered (dense), sparse-span (paged),
-        // huge-span (runs).
-        let batches = [
-            vec![
-                (f(&[(3, 1.0), (4, 2.0), (5, -0.5), (9, 3.0)]), 2.0),
-                (f(&[(5, 1.5), (7, 0.5)]), -1.0),
-            ],
-            vec![
-                (f(&[(10, 1.0), (200, 2.0)]), 1.0),
-                (f(&[(10, 3.0), (310, 4.0)]), 2.5),
-            ],
-            vec![
-                (f(&[(0, 1.0), (1 << 30, 2.0)]), 1.0),
-                (f(&[(512, 3.0), (1 << 30, 4.0)]), 3.0),
-            ],
-        ];
-        let cfg = AccumConfig::default();
-        for fibers in &batches {
-            let (lo, hi, nnz) = span_of(fibers);
-            let mut scalar = RowAccum::new();
-            scalar.begin(lo, hi, nnz, &cfg);
-            let mut blocked = RowAccum::new();
-            blocked.begin(lo, hi, nnz, &cfg);
-            assert_eq!(scalar.tier(), blocked.tier());
-            for (fb, s) in fibers {
-                scalar.scatter_scaled(fb.as_view(), *s);
-                blocked.scatter_blocked(&BlockedFiber::encode(fb.as_view(), 4), *s);
-            }
-            let (want, got) = (scalar.drain(), blocked.drain());
-            assert_eq!(got.coords(), want.coords());
-            let bits = |fb: &Fiber| fb.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want));
-        }
     }
 
     #[test]

@@ -156,30 +156,6 @@ impl FiberIndex {
         self.len == 0
     }
 
-    /// The tier [`build`](FiberIndex::build) would select for this
-    /// coordinate slice, without materializing any index storage — the
-    /// format-statistics path ([`FormatStats`]) reads the selection as a
-    /// clustering signal over every fiber of a matrix, where building the
-    /// bitmap words just to throw them away would dominate the pass.
-    ///
-    /// [`FormatStats`]: crate::FormatStats
-    pub fn classify(coords: &[u32]) -> &'static str {
-        let len = coords.len();
-        if len == 0 {
-            return "empty";
-        }
-        let span = (coords[len - 1] - coords[0]) as u64 + 1;
-        if span > len as u64 * BITS_PER_ELEMENT as u64 {
-            if len <= SKIP {
-                "short"
-            } else {
-                "skip"
-            }
-        } else {
-            "bitmap"
-        }
-    }
-
     /// Name of the selected tier (`"empty"`, `"short"`, `"bitmap"`,
     /// `"skip"`) — for diagnostics and bench labels.
     pub fn tier_name(&self) -> &'static str {
@@ -449,26 +425,6 @@ mod tests {
                     .map(|i| (i, f.values()[i]));
                 assert_eq!(prober.probe(c), want, "tier {} coord {c}", idx.tier_name());
             }
-        }
-    }
-
-    #[test]
-    fn classify_agrees_with_build() {
-        let cases: Vec<Vec<u32>> = vec![
-            vec![],
-            vec![7],
-            vec![3, 9, 1000],
-            (0..64).filter(|c| c % 2 == 0).collect(),
-            (0..64).map(|i| i * 10_000).collect(),
-            (0..(SKIP as u32)).map(|i| i * 10_000).collect(), // short boundary
-            (0..(SKIP as u32 + 1)).map(|i| i * 10_000).collect(), // just past it
-        ];
-        for coords in &cases {
-            assert_eq!(
-                FiberIndex::classify(coords),
-                FiberIndex::build(coords).tier_name(),
-                "coords {coords:?}"
-            );
         }
     }
 

@@ -17,10 +17,10 @@
 //! * [`RowAccum`] — tiered per-row psum accumulators (dense array, paged
 //!   bitmap-directed gather, or sorted-run list) behind the Outer-Product
 //!   and Gustavson merge paths.
-//! * [`FiberFormat`] / [`FormattedMatrix`] — the storage-format tier:
-//!   blocked (BCSR-style), fixed-width (ELL-ish) and INT8-quantized
-//!   encodings over the SoA baseline, selected per layer by the mapper the
-//!   same way a dataflow is ([`mod@format`]).
+//! * [`FiberFormat`] / [`FormattedMatrix`] — storage-format tokens:
+//!   `soa`, the lossless labels `bcsr4`/`bcsr8`/`ell`, and the INT8
+//!   quantization `q8`, the one format that changes values
+//!   ([`mod@format`]).
 //! * Workload generators ([`gen`]) and reference SpGEMM kernels
 //!   ([`mod@reference`]) implementing the Inner-Product,
 //!   Outer-Product and Gustavson algorithms in software.
@@ -68,7 +68,7 @@ pub use dense::DenseMatrix;
 pub use element::{Element, Value, ELEMENT_BYTES};
 pub use error::FormatError;
 pub use fiber::{ElementIter, Fiber, FiberView};
-pub use format::{BlockedFiber, FiberFormat, FormatStats, FormattedMatrix};
+pub use format::{FiberFormat, FormattedMatrix};
 pub use index::{FiberIndex, MatrixIndex, Prober};
 pub use validate::{validate_matrix, ValidationConfig, ValidationError, ValuePolicy};
 

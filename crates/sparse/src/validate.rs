@@ -142,17 +142,6 @@ pub enum ValidationError {
         /// The count actually parsed.
         actual: u64,
     },
-    /// A formatted representation ([`FormattedMatrix`]) violates its
-    /// encoding's internal invariants — blocked masks empty, pointer
-    /// vectors out of shape, ELL lengths past the width. Reported by
-    /// [`FormattedMatrix::validate`], never by [`validate_matrix`].
-    ///
-    /// [`FormattedMatrix`]: crate::FormattedMatrix
-    /// [`FormattedMatrix::validate`]: crate::FormattedMatrix::validate
-    FormatDefect {
-        /// The violated invariant, as a static description.
-        what: &'static str,
-    },
 }
 
 impl std::fmt::Display for ValidationError {
@@ -173,9 +162,6 @@ impl std::fmt::Display for ValidationError {
                     f,
                     "header declares {declared} elements but {actual} are present"
                 )
-            }
-            Self::FormatDefect { what } => {
-                write!(f, "formatted storage violates its invariants: {what}")
             }
         }
     }

@@ -1,14 +1,9 @@
-//! Property-based tests for the storage-format tier ([`FormattedMatrix`]
-//! and friends): lossless formats are exact round-trips on arbitrary
-//! structure, the ELL fallback respects its padding budget, and the
+//! Property-based tests for the storage-format tier ([`FormattedMatrix`]):
+//! lossless formats are exact round-trips on arbitrary structure, and the
 //! quantized tier honours its documented error bound.
 
-use flexagon_sparse::{
-    gen, CompressedMatrix, FiberFormat, FormatStats, FormattedMatrix, MajorOrder,
-};
+use flexagon_sparse::{CompressedMatrix, FiberFormat, FormattedMatrix, MajorOrder};
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Strategy: a sparse matrix with unique random cells in either order.
 fn matrix(max_dim: u32) -> impl Strategy<Value = CompressedMatrix> {
@@ -34,7 +29,7 @@ fn matrix(max_dim: u32) -> impl Strategy<Value = CompressedMatrix> {
 
 proptest! {
     /// Every lossless format is an exact (bit-identical) round-trip on
-    /// arbitrary structure, and its self-check validates.
+    /// arbitrary structure.
     #[test]
     fn lossless_formats_roundtrip_exactly(m in matrix(32)) {
         for format in FiberFormat::ALL {
@@ -42,8 +37,6 @@ proptest! {
                 continue;
             }
             let enc = FormattedMatrix::encode(&m, format);
-            prop_assert!(enc.validate().is_ok(), "{format} self-check failed");
-            prop_assert_eq!(enc.nnz(), m.nnz());
             prop_assert_eq!(&enc.decode(), &m, "{} round-trip differs", format);
         }
     }
@@ -75,82 +68,4 @@ proptest! {
             }
         }
     }
-
-    /// The ELL encoder never allocates past its padding budget: either the
-    /// fixed-width grid fits `4*nnz + 1024` cells, or the encoder falls
-    /// back to SoA storage — in both cases the round-trip stays exact.
-    #[test]
-    fn ell_respects_the_padding_budget(m in matrix(32)) {
-        let enc = FormattedMatrix::encode(&m, FiberFormat::Ell);
-        if enc.storage_kind() == "ell" {
-            let stats = FormatStats::of(&m);
-            let cells = (stats.ell_waste + 1.0) * m.nnz() as f64;
-            prop_assert!(
-                cells <= (4 * m.nnz() + 1024) as f64 + 0.5,
-                "grid of {cells} cells exceeds the budget for nnz {}",
-                m.nnz()
-            );
-        } else {
-            prop_assert_eq!(enc.storage_kind(), "soa", "fallback must be tagged soa");
-        }
-        prop_assert_eq!(&enc.decode(), &m);
-    }
-
-    /// Format statistics are scale-consistent: fills and fractions stay in
-    /// `[0, 1]`, waste and CV are non-negative, on arbitrary structure.
-    #[test]
-    fn format_stats_stay_in_range(m in matrix(32)) {
-        let s = FormatStats::of(&m);
-        prop_assert_eq!(s.nnz, m.nnz());
-        prop_assert!((0.0..=1.0).contains(&s.block_fill4), "fill4 {}", s.block_fill4);
-        prop_assert!((0.0..=1.0).contains(&s.block_fill8), "fill8 {}", s.block_fill8);
-        prop_assert!((0.0..=1.0).contains(&s.bitmap_fiber_fraction));
-        prop_assert!(s.row_len_cv >= 0.0);
-        prop_assert!(s.ell_waste >= 0.0);
-        // 8-wide blocks can never be fuller than 4-wide blocks of the
-        // same coordinates (each 8-block splits into at most two 4-blocks).
-        prop_assert!(s.block_fill8 <= s.block_fill4 + 1e-12);
-    }
-}
-
-/// The adversarial generator sweep (maximal skew, empty fibers, dense
-/// blocks, degenerate shapes) round-trips through every lossless format —
-/// the deterministic companion to the proptests above.
-#[test]
-fn adversarial_sweep_roundtrips_all_lossless_formats() {
-    let mut rng = ChaCha8Rng::seed_from_u64(11);
-    let scenarios = gen::adversarial_sweep(&mut rng);
-    assert!(scenarios.len() >= 7, "sweep lost scenarios");
-    for s in &scenarios {
-        for m in [&s.a, &s.b] {
-            for format in FiberFormat::ALL {
-                if !format.is_lossless() {
-                    continue;
-                }
-                let enc = FormattedMatrix::encode(m, format);
-                assert!(enc.validate().is_ok(), "{}: {format} invalid", s.name);
-                assert_eq!(&enc.decode(), m, "{}: {format} round-trip differs", s.name);
-            }
-        }
-    }
-}
-
-/// Blocked footprints beat SoA on dense-clustered structure and the
-/// stats see it: block fill is high where block_sparse generated it.
-#[test]
-fn blocked_footprint_wins_on_clustered_structure() {
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let clustered = gen::block_sparse(256, 256, 8, 0.3, MajorOrder::Row, &mut rng);
-    let soa = FormattedMatrix::encode(&clustered, FiberFormat::Soa).footprint_bytes();
-    let bcsr = FormattedMatrix::encode(&clustered, FiberFormat::Bcsr8).footprint_bytes();
-    assert!(
-        bcsr < soa,
-        "bcsr8 ({bcsr} B) should be smaller than soa ({soa} B) on 8-aligned blocks"
-    );
-    let stats = FormatStats::of(&clustered);
-    assert!(
-        stats.block_fill8 > 0.9,
-        "8-aligned dense blocks should fill 8-wide blocks (got {})",
-        stats.block_fill8
-    );
 }

@@ -72,21 +72,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fast.report.total_cycles,
         fast.report.total_cycles as f64 / best_cycles as f64
     );
-
-    // 4. The storage format is a mapping dimension too: `auto` lets the
-    //    mapper pick a lossless fiber format from the stationary operand's
-    //    shape (blocked for clustered structure, ELL for uniform rows).
-    //    Lossless formats are result-transparent — same C, same report.
-    use flexagon::core::FormatChoice;
-    let fmt = accel.execute(
-        ExecutionRequest::new(&a, &b)
-            .strategy(MappingStrategy::Heuristic)
-            .format_choice(FormatChoice::Auto),
-    )?;
-    assert_eq!(fmt.output.c, fast.c, "lossless formats never change C");
-    println!(
-        "Auto format picks:            {} (identical output, {} cycles)",
-        fmt.format, fmt.output.report.total_cycles
-    );
     Ok(())
 }
