@@ -14,9 +14,13 @@
 //!
 //! The *hardware* re-streams B once per tile and that is what the cycle and
 //! traffic accounting charges, identically in every path below. The
-//! *software* does not have to. Two indexed intersection strategies replace
-//! the per-tile re-scan of all of B:
+//! *software* simulates that re-stream without re-reading all of B:
 //!
+//! * Every tile sends the same access sequence through the STR cache (each
+//!   nonempty fiber of B once, ascending), so the cache model probes only
+//!   until one pass leaves its tags as it found them, and replays that
+//!   steady pass's totals for every later tile of the band
+//!   ([`StrCache::stream_pass`](flexagon_mem::StrCache::stream_pass)).
 //! * `run_indexed` (taken when K is large relative to the array) walks a
 //!   k-indexed copy of B — only the rows matching the tile's stationary
 //!   coordinates are touched, the Gamma-style schedule — at
@@ -38,17 +42,70 @@
 //! once per band and keeps it clean across the band's tiles.
 
 use super::{tiling, Engine, IpShared};
+use flexagon_mem::PassMemo;
 use flexagon_sim::{bottleneck, Phase};
 use flexagon_sparse::{CompressedMatrix, Element, Fiber, MatrixIndex, MatrixView, Value};
-use std::collections::HashMap;
 
-/// Cross-tile accumulators for rows split into multiple chunks.
-type SplitAcc = HashMap<u32, HashMap<u32, Value>>;
+/// Cross-tile accumulator for rows split into chunks, one N-wide register
+/// file with a hit mask.
+///
+/// The planner gives a split row's first chunk a tile of its own and its
+/// chunks consecutive tiles, so at most one split row is open at a time.
+/// Its dot products fold `0.0 + chunk0 + chunk1 …` per column in tile
+/// order, and the tile holding its last chunk closes it into a sorted
+/// fiber. Rows close in ascending order.
+struct SplitAcc {
+    /// The row accumulating, once one of its dot products has landed.
+    open: Option<u32>,
+    acc: Vec<Value>,
+    hit: Vec<u64>,
+    /// Closed rows with their fibers, in row order.
+    closed: Vec<(u32, Fiber)>,
+}
+
+impl SplitAcc {
+    fn new(n_dim: usize) -> Self {
+        Self {
+            open: None,
+            acc: vec![0.0; n_dim],
+            hit: vec![0; n_dim.div_ceil(64)],
+            closed: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, row: u32, n: u32, value: Value) {
+        assert_eq!(*self.open.get_or_insert(row), row, "two split rows open");
+        let n = n as usize;
+        self.hit[n >> 6] |= 1u64 << (n & 63);
+        self.acc[n] += value;
+    }
+
+    /// Closes `tile`'s split row if the tile holds its last chunk.
+    fn close_after(&mut self, tile: &[tiling::Cluster]) {
+        let Some(cl) = tile.iter().find(|c| !c.is_whole_row()) else {
+            return;
+        };
+        if !cl.is_last_chunk() || self.open != Some(cl.row) {
+            return; // more chunks to come, or no dot product landed
+        }
+        self.open = None;
+        let mut fiber = Fiber::new();
+        for (w, word) in self.hit.iter_mut().enumerate() {
+            while *word != 0 {
+                let n = w * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                fiber.push(Element::new(n as u32, self.acc[n]));
+                self.acc[n] = 0.0;
+            }
+        }
+        self.closed.push((cl.row, fiber));
+    }
+}
 
 pub(super) fn run(e: &mut Engine<'_>, shared: &IpShared) {
     let mut plan = tiling::RowPlan::default();
     tiling::plan_rows(e.a, e.cfg.multipliers, e.band.clone(), &mut plan);
-    let mut split_acc = SplitAcc::new();
+    let mut split_acc = SplitAcc::new(e.b.major_dim() as usize);
     match shared {
         IpShared::Indexed(b_by_k) => run_indexed(e, &plan, b_by_k, &mut split_acc),
         IpShared::Streaming(b_index) => run_streaming(e, &plan, b_index, &mut split_acc),
@@ -59,20 +116,12 @@ pub(super) fn run(e: &mut Engine<'_>, shared: &IpShared) {
         return;
     }
 
-    // Assemble rows that accumulated across tiles. Their elements were held
+    // Store rows that accumulated across tiles. Their elements were held
     // in the cluster output registers, so only the final store is charged.
-    let mut split_rows: Vec<(u32, HashMap<u32, Value>)> = split_acc.into_iter().collect();
-    split_rows.sort_unstable_by_key(|&(row, _)| row);
     let mut split_elems = 0u64;
-    for (row, entries) in split_rows {
-        let fiber: Fiber = entries
-            .into_iter()
-            .map(|(n, v)| Element::new(n, v))
-            .collect();
+    for (row, fiber) in split_acc.closed {
         split_elems += fiber.len() as u64;
-        e.wbuf.write(fiber.len() as u64, &mut e.dram);
-        let idx = e.band_idx(row);
-        e.out_fibers[idx] = fiber;
+        e.emit_row(row, fiber);
     }
     if split_elems > 0 {
         e.counters.add("ip.split_row_elements", split_elems);
@@ -107,6 +156,17 @@ fn index_tile(
     touched_k.sort_unstable();
 }
 
+/// Streams the whole of B past one tile through the STR cache: every
+/// nonempty fiber once, in ascending order. `memo` is the band's, so the
+/// band's later tiles replay its steady pass.
+fn stream_b(e: &mut Engine<'_>, memo: &mut PassMemo) {
+    let ranges = e.b.ptr().windows(2).filter_map(|w| {
+        let len = (w[1] - w[0]) as u64;
+        (len > 0).then_some((w[0] as u64, len))
+    });
+    e.cache.stream_pass(ranges, &mut e.dram, memo);
+}
+
 /// Records `value` as cluster `cl`'s finished dot product for column `n`.
 #[inline]
 fn emit_dot(
@@ -122,7 +182,7 @@ fn emit_dot(
         e.out_fibers[idx].push(Element::new(n, value));
         *final_elems += 1;
     } else {
-        *split_acc.entry(cl.row).or_default().entry(n).or_insert(0.0) += value;
+        split_acc.add(cl.row, n, value);
     }
 }
 
@@ -147,6 +207,7 @@ fn run_indexed(
     let mut hit = vec![0u64; slots * n_words];
     let mut injected_n = vec![0u32; n_dim];
     let mut delivered_n = vec![0u64; n_dim];
+    let mut memo = PassMemo::default();
 
     for tile in plan.tiles() {
         // Tile boundary: a fired token stops before the next tile streams.
@@ -154,6 +215,7 @@ fn run_indexed(
             return;
         }
         e.stationary_phase(tiling::slots_used(tile));
+        stream_b(e, &mut memo);
 
         index_tile(a, tile, &mut k_entries, &mut touched_k);
 
@@ -174,8 +236,8 @@ fn run_indexed(
         }
 
         // Accounting + emission sweep in ascending n — the same per-fiber
-        // sequence of cache reads, network charges and output pushes the
-        // streaming scan produces.
+        // sequence of network charges and output pushes the streaming scan
+        // produces.
         let mut streaming = 0u64;
         let mut injected_tile = 0u64;
         let mut delivered_tile = 0u64;
@@ -185,8 +247,6 @@ fn run_indexed(
             if len == 0 {
                 continue;
             }
-            let start = e.b_elem_offset(n as u32);
-            e.cache.read_range(start, len, &mut e.dram);
             let injected = u64::from(injected_n[n]);
             let intersections = delivered_n[n];
             injected_n[n] = 0;
@@ -211,6 +271,7 @@ fn run_indexed(
                 }
             }
         }
+        split_acc.close_after(tile);
         e.dn.send_irregular(injected_tile, delivered_tile.max(injected_tile));
         streaming += e.mrn.fill_latency();
         e.wbuf.write(final_elems, &mut e.dram);
@@ -243,6 +304,7 @@ fn run_streaming(
     let mut acc: Vec<Value> = vec![0.0; slots];
     let mut hit = vec![false; slots];
     let mut hit_list: Vec<u32> = Vec::new();
+    let mut memo = PassMemo::default();
 
     for tile in plan.tiles() {
         // Tile boundary: a fired token stops before the next tile streams.
@@ -250,6 +312,7 @@ fn run_streaming(
             return;
         }
         e.stationary_phase(tiling::slots_used(tile));
+        stream_b(e, &mut memo);
 
         // Index this tile's stationary coordinates and set the scan mask.
         index_tile(a, tile, &mut k_entries, &mut touched_k);
@@ -271,8 +334,6 @@ fn run_streaming(
             if len == 0 {
                 continue;
             }
-            let start = e.b_elem_offset(n);
-            e.cache.read_range(start, len, &mut e.dram);
             let mut intersections = 0u64;
             let mut injected = 0u64;
             let fiber = b.fiber(n);
@@ -339,6 +400,7 @@ fn run_streaming(
             }
             hit_list.clear();
         }
+        split_acc.close_after(tile);
         e.dn.send_irregular(injected_tile, delivered_tile.max(injected_tile));
         streaming += e.mrn.fill_latency();
         e.wbuf.write(final_elems, &mut e.dram);

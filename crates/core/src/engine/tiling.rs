@@ -294,6 +294,44 @@ mod tests {
         plan
     }
 
+    /// Asserts the plan shape the Inner-Product split-row accumulator
+    /// relies on: a tile holds at most one chunk of a split row, a split
+    /// row's chunks sit in consecutive tiles, and every chunk but the last
+    /// fills its tile. Returns the number of split rows.
+    fn assert_split_rows_contiguous(plan: &RowPlan, slots: u32) -> usize {
+        // (row, next chunk) of the split row whose chunks are still coming.
+        let mut open: Option<(u32, u32)> = None;
+        let mut split_rows = 0;
+        for (ti, t) in plan.tiles().enumerate() {
+            let mut split = t.iter().filter(|c| !c.is_whole_row());
+            let chunk = split.next();
+            assert!(split.next().is_none(), "tile {ti} holds two split chunks");
+            let Some(c) = chunk else {
+                assert_eq!(open, None, "tile {ti} interrupts a split row");
+                continue;
+            };
+            match open {
+                Some(expected) => assert_eq!((c.row, c.chunk), expected, "tile {ti}"),
+                None => {
+                    assert_eq!(c.chunk, 0, "tile {ti} starts a split row mid-way");
+                    split_rows += 1;
+                }
+            }
+            if c.is_last_chunk() {
+                open = None;
+            } else {
+                assert_eq!(
+                    c.len, slots as usize,
+                    "tile {ti}: chunk must fill the array"
+                );
+                assert_eq!(t.len(), 1, "tile {ti}: a full chunk shares no tile");
+                open = Some((c.row, c.chunk + 1));
+            }
+        }
+        assert_eq!(open, None, "plan ends inside a split row");
+        split_rows
+    }
+
     #[test]
     fn plan_rows_covers_all_elements_once() {
         let a = csr(20, 30, 0.3, 1);
@@ -304,6 +342,7 @@ mod tests {
             covered += slots_used(t) as usize;
         }
         assert_eq!(covered, a.nnz());
+        assert!(assert_split_rows_contiguous(&plan, 8) > 0, "no split row");
     }
 
     #[test]
@@ -362,6 +401,7 @@ mod tests {
         let a = csr(24, 30, 0.4, 8);
         let mut plan = RowPlan::default();
         let mut covered = 0usize;
+        let mut split_rows = 0;
         for band in [0u32..9, 9..10, 10..24] {
             plan_rows(a.view(), 8, band.clone(), &mut plan);
             for t in plan.tiles() {
@@ -370,8 +410,10 @@ mod tests {
                     covered += c.len;
                 }
             }
+            split_rows += assert_split_rows_contiguous(&plan, 8);
         }
         assert_eq!(covered, a.nnz());
+        assert!(split_rows > 0, "no split row");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! evaluation section rests on must emerge from the simulation.
 
 use flexagon_core::{Accelerator, AcceleratorConfig, Dataflow, Flexagon};
+use flexagon_mem::{Dram, StrCache};
 use flexagon_sparse::{gen, CompressedMatrix, MajorOrder, ELEMENT_BYTES};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -108,6 +109,58 @@ fn ip_traffic_grows_with_stationary_tiles_gust_does_not() {
     let ip_big = run_df(&accel, &a_big, &b, Dataflow::InnerProductM).unwrap();
     assert!(ip_big.report.tiles > ip_small.report.tiles);
     assert!(ip_big.report.traffic.str_onchip_bytes > ip_small.report.traffic.str_onchip_bytes);
+}
+
+#[test]
+fn ip_restream_equals_per_tile_passes_through_a_fresh_cache() {
+    // Every IP tile streams the same sequence past the STR cache: each
+    // nonempty streamed fiber once, in ascending order. The reported cache
+    // statistics and STR traffic must equal `tiles` such passes through a
+    // fresh cache, both when the streamed operand fits the 512-byte 2-way
+    // cache and when it overflows it, on either tile loop.
+    let (fits_a, fits_b) = pair(12, 16, 8, 0.5, 0.25, 16); // B ~32 elements
+    let (over_a, over_b) = pair(12, 64, 64, 0.5, 0.5, 17); // B ~8 KiB
+    for indexed in [true, false] {
+        let mut cfg = AcceleratorConfig::tiny();
+        if !indexed {
+            cfg.engine.indexed_min_k_ratio = 1 << 16;
+        }
+        let accel = Flexagon::new(cfg);
+        for (a, b) in [(&fits_a, &fits_b), (&over_a, &over_b)] {
+            for df in [Dataflow::InnerProductM, Dataflow::InnerProductN] {
+                let out = run_df(&accel, a, b, df).unwrap();
+                // IP(M) streams B's columns; IP(N) streams A's rows.
+                let streamed = match df {
+                    Dataflow::InnerProductM => b.converted(MajorOrder::Col),
+                    _ => a.converted(MajorOrder::Row),
+                };
+                let mut cache = StrCache::new(cfg.memory.cache);
+                let mut dram = Dram::new(cfg.memory.dram);
+                for _ in 0..out.report.tiles {
+                    for f in 0..streamed.major_dim() {
+                        let len = streamed.fiber_len(f) as u64;
+                        if len > 0 {
+                            cache.read_range(streamed.ptr()[f as usize] as u64, len, &mut dram);
+                        }
+                    }
+                }
+                let ctx = format!("{df} indexed={indexed} streamed nnz={}", streamed.nnz());
+                let r = &out.report;
+                assert!(r.tiles > 1, "{ctx}: must re-stream");
+                assert_eq!(r.cache.hits(), cache.stats().hits(), "{ctx}");
+                assert_eq!(r.cache.total(), cache.stats().total(), "{ctx}");
+                assert_eq!(r.traffic.str_fill_bytes, cache.fill_bytes(), "{ctx}");
+                assert_eq!(r.traffic.str_onchip_bytes, cache.onchip_bytes(), "{ctx}");
+                // Only an operand that overflows the cache refills lines
+                // after the first, cold pass.
+                let (capacity, line) =
+                    (cfg.memory.cache.capacity_bytes, cfg.memory.cache.line_bytes);
+                let bytes = streamed.nnz() as u64 * ELEMENT_BYTES;
+                let cold_pass = bytes.div_ceil(line) * line;
+                assert_eq!(cache.fill_bytes() > cold_pass, bytes > capacity, "{ctx}");
+            }
+        }
+    }
 }
 
 #[test]

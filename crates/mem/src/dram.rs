@@ -75,10 +75,16 @@ impl Dram {
 
     /// Issues a read of `bytes` bytes.
     pub fn read(&mut self, bytes: u64) {
-        self.read_bytes += bytes;
-        self.read_requests += 1;
-        self.pending_bytes += bytes;
-        self.pending_requests += 1;
+        self.read_many(1, bytes);
+    }
+
+    /// Issues `requests` reads of `bytes` bytes each, exactly as that many
+    /// [`Dram::read`] calls would.
+    pub fn read_many(&mut self, requests: u64, bytes: u64) {
+        self.read_bytes += requests * bytes;
+        self.read_requests += requests;
+        self.pending_bytes += requests * bytes;
+        self.pending_requests += requests;
     }
 
     /// Issues a write of `bytes` bytes.

@@ -28,7 +28,7 @@ mod fifo;
 mod psram;
 mod wbuf;
 
-pub use cache::{AccessOutcome, CacheConfig, StrCache};
+pub use cache::{AccessOutcome, CacheConfig, PassMemo, StrCache};
 pub use config::MemoryConfig;
 pub use dram::{Dram, DramConfig};
 pub use fifo::{FifoConfig, StaFifo};

@@ -2,7 +2,7 @@
 //! a lossless multimap of psum fibers under any interleaving, and the cache
 //! must agree with an ideal reference model on hit/miss classification.
 
-use flexagon_mem::{CacheConfig, Dram, Psram, PsramConfig, StrCache};
+use flexagon_mem::{CacheConfig, Dram, PassMemo, Psram, PsramConfig, StrCache};
 use flexagon_sparse::Element;
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
@@ -183,6 +183,44 @@ proptest! {
                 model[set].pop_front();
             }
             model[set].push_back(line);
+        }
+    }
+
+    /// A repeated `stream_pass` is the same ranges read pass after pass:
+    /// against a twin cache driven by plain `read_range`, the statistics,
+    /// fill and on-chip bytes, DRAM reads and the channel's busy cycles
+    /// agree after every pass, whether or not the ranges fit the cache.
+    #[test]
+    fn stream_pass_matches_repeated_read_ranges(
+        (line_shift, ways, set_shift) in (2u32..6, 1u32..5, 0u32..4),
+        ranges in proptest::collection::vec((0u64..400, 0u64..300), 0..12),
+        passes in 1usize..6,
+    ) {
+        let line_bytes = 1u64 << line_shift;
+        let cfg = CacheConfig {
+            capacity_bytes: (line_bytes * u64::from(ways)) << set_shift,
+            line_bytes,
+            associativity: ways,
+            banks: 1,
+        };
+        let (mut memoized, mut plain) = (StrCache::new(cfg), StrCache::new(cfg));
+        let (mut memo_dram, mut plain_dram) = (Dram::with_defaults(), Dram::with_defaults());
+        let mut memo = PassMemo::default();
+        for pass in 0..passes {
+            memoized.stream_pass(ranges.iter().copied(), &mut memo_dram, &mut memo);
+            for &(first, n) in &ranges {
+                plain.read_range(first, n, &mut plain_dram);
+            }
+            prop_assert_eq!(memoized.stats(), plain.stats(), "pass {}", pass);
+            prop_assert_eq!(memoized.fill_bytes(), plain.fill_bytes(), "pass {}", pass);
+            prop_assert_eq!(memoized.onchip_bytes(), plain.onchip_bytes(), "pass {}", pass);
+            prop_assert_eq!(memo_dram.read_bytes(), plain_dram.read_bytes(), "pass {}", pass);
+            prop_assert_eq!(memo_dram.read_requests(), plain_dram.read_requests(), "pass {}", pass);
+            prop_assert_eq!(
+                memo_dram.take_busy_cycles(),
+                plain_dram.take_busy_cycles(),
+                "pass {}", pass
+            );
         }
     }
 
