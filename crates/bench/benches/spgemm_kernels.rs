@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexagon_core::{Accelerator, AcceleratorConfig, CpuMkl, Dataflow, ExecutionRequest, Flexagon};
 use flexagon_sparse::{
     gen, merge, reference, AccumConfig, AccumTier, CompressedMatrix, Fiber, FiberFormat,
-    FiberIndex, FormattedMatrix, MajorOrder, RowAccum,
+    FormattedMatrix, MajorOrder, RowAccum,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -44,7 +44,7 @@ fn bench_kernels(c: &mut Criterion) {
 }
 
 /// A fiber of `len` elements drawn from a coordinate space of `space`.
-fn intersection_fiber(len: usize, space: u32, seed: u64) -> Fiber {
+fn sparse_fiber(len: usize, space: u32, seed: u64) -> Fiber {
     let density = len as f64 / space as f64;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     gen::random(1, space, density, MajorOrder::Row, &mut rng)
@@ -52,105 +52,16 @@ fn intersection_fiber(len: usize, space: u32, seed: u64) -> Fiber {
         .to_fiber()
 }
 
-/// The three intersection strategies over balanced, skewed and sparse-span
-/// fiber pairs: the naive two-pointer scan, galloping, and index probing
-/// (bitmap or skip tier depending on span).
-fn bench_intersection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("intersection");
-    // (label, len_a, len_b, space): balanced dense-span, skewed (short
-    // stationary list vs long fiber, the MNK tile shape), and sparse-span
-    // pairs that exercise the skip tier.
-    let shapes: &[(&str, usize, usize, u32)] = &[
-        ("balanced/256", 256, 256, 1024),
-        ("skewed/64x4096", 64, 4096, 16384),
-        ("sparse_span/512", 512, 512, 1 << 24),
-    ];
-    for &(label, la, lb, space) in shapes {
-        let a = intersection_fiber(la, space, 7);
-        let b = intersection_fiber(lb, space, 8);
-        let b_index = FiberIndex::build(b.coords());
-        group.bench_function(BenchmarkId::new("dot", label), |bench| {
-            bench.iter(|| black_box(a.as_view()).dot(black_box(b.as_view())));
-        });
-        group.bench_function(BenchmarkId::new("gallop", label), |bench| {
-            bench.iter(|| black_box(a.as_view()).dot_gallop(black_box(b.as_view())));
-        });
-        group.bench_function(BenchmarkId::new("probe", label), |bench| {
-            bench.iter(|| {
-                black_box(a.as_view()).dot_probe(black_box(b.as_view()), black_box(&b_index))
-            });
-        });
-    }
-    // Index construction cost over a whole operand, amortized by the loops
-    // that reuse it.
-    let (_, b) = operands(512, 0.1);
-    group.bench_function("index_build/512", |bench| {
-        bench.iter(|| flexagon_sparse::MatrixIndex::build(black_box(&b).view()));
-    });
-    group.finish();
-}
-
-/// ROADMAP item (b), measurement half: the two software-path gates on
-/// `EngineConfig`/`AccumConfig` as direct crossover sweeps, so the default
-/// thresholds can be re-derived from numbers instead of hand-tuning.
-///
-/// * `threshold_probe/{scan,probe}/r{R}` — the Inner-Product streaming
-///   loop's per-fiber choice: mask-scan the streaming fiber against the
-///   tile's k-bitmap, or probe the fiber's tiered index with the tile's
-///   sorted stationary list. `R = fiber_len / stationary_len`; the engine
-///   probes when `R >= probe_gate_factor`, so the gate should sit at the
-///   measured crossover ratio.
-/// * `threshold_probe/{dense,paged}_accum/s{S}` — the psum accumulator's
-///   dense-vs-paged choice at span-per-element ratio `S = span / nnz`
-///   (tiers forced via the config gates; identical scatter/drain results
-///   either way). The dense tier pays `span` value slots, the paged tier
-///   pays the bitmap plus page indirection; the gate
-///   `dense_span_per_elem` should sit at the crossover `S`.
+/// The psum accumulator's dense-vs-paged choice as a direct crossover
+/// sweep, so the default gate can be re-derived from numbers instead of
+/// hand-tuning: `threshold_probe/{dense,paged}_accum/s{S}` at
+/// span-per-element ratio `S = span / nnz` (tiers forced via the config
+/// gates; identical scatter/drain results either way). The dense tier pays
+/// `span` value slots, the paged tier pays the bitmap plus page
+/// indirection; the gate `dense_span_per_elem` should sit at the crossover
+/// `S`.
 fn bench_threshold_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("threshold_probe");
-
-    // Probe-vs-scan: one long streaming fiber, stationary lists of
-    // decreasing length (increasing ratio R).
-    let fiber_len = 4096usize;
-    let space = 16384u32;
-    let fiber = intersection_fiber(fiber_len, space, 31);
-    let index = FiberIndex::build(fiber.coords());
-    for ratio in [1usize, 2, 4, 8, 16, 32] {
-        let stationary = intersection_fiber(fiber_len / ratio, space, 32 + ratio as u64);
-        let k_list: Vec<u32> = stationary.coords().to_vec();
-        // The tile's k-membership bitmap, as the engine builds it.
-        let mut mask = vec![0u64; (space as usize).div_ceil(64)];
-        for &k in &k_list {
-            mask[(k >> 6) as usize] |= 1u64 << (k & 63);
-        }
-        group.bench_function(BenchmarkId::new("scan", format!("r{ratio}")), |bench| {
-            bench.iter(|| {
-                let mut hits = 0u64;
-                let mut sum = 0.0f32;
-                for (&c, &v) in fiber.coords().iter().zip(fiber.values()) {
-                    if mask[(c >> 6) as usize] & (1u64 << (c & 63)) != 0 {
-                        hits += 1;
-                        sum += v;
-                    }
-                }
-                black_box((hits, sum))
-            });
-        });
-        group.bench_function(BenchmarkId::new("probe", format!("r{ratio}")), |bench| {
-            bench.iter(|| {
-                let mut prober = index.prober(fiber.as_view());
-                let mut hits = 0u64;
-                let mut sum = 0.0f32;
-                for &k in &k_list {
-                    if let Some((_, v)) = prober.probe(k) {
-                        hits += 1;
-                        sum += v;
-                    }
-                }
-                black_box((hits, sum))
-            });
-        });
-    }
 
     // Dense-vs-paged accumulator: fixed element volume, widening span.
     let ways = 16usize;
@@ -172,7 +83,7 @@ fn bench_threshold_probe(c: &mut Criterion) {
     for spe in [2u64, 4, 8, 16, 32, 64, 128, 256, 512] {
         let span = nnz * spe;
         let fibers: Vec<Fiber> = (0..ways)
-            .map(|s| intersection_fiber(len, span as u32, 400 + spe * 31 + s as u64))
+            .map(|s| sparse_fiber(len, span as u32, 400 + spe * 31 + s as u64))
             .collect();
         let (lo, hi) = (0u32, span as u32 - 1);
         for (label, cfg, want) in [
@@ -237,7 +148,7 @@ fn bench_accumulators(c: &mut Criterion) {
     ];
     for &(label, ways, len, space) in shapes {
         let fibers: Vec<Fiber> = (0..ways)
-            .map(|s| intersection_fiber(len, space, 1000 + s as u64))
+            .map(|s| sparse_fiber(len, space, 1000 + s as u64))
             .collect();
         let (lo, hi, nnz) = fibers.iter().filter(|f| !f.is_empty()).fold(
             (u32::MAX, 0u32, 0u64),
@@ -395,7 +306,6 @@ fn bench_format_kernels(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_kernels,
-    bench_intersection,
     bench_threshold_probe,
     bench_conversion,
     bench_accumulators,

@@ -31,9 +31,9 @@ use serde::{DeError, Deserialize, Value};
 use std::process::ExitCode;
 
 /// Benchmarks faster than this are dominated by timer jitter and batching
-/// granularity at smoke budgets (the micro-intersection benches were
-/// observed 1.5-1.7x off on unchanged code at starved budgets); they are
-/// uploaded in the artifact but not gated on.
+/// granularity at smoke budgets (micro-benches were observed 1.5-1.7x off
+/// on unchanged code at starved budgets); they are uploaded in the artifact
+/// but not gated on.
 const MIN_GATED_NS: f64 = 5000.0;
 
 /// Median measured/recorded ratio beyond which the run fails outright: the

@@ -72,13 +72,15 @@ const fn shape(m: u32, k: u32, n: u32, density_a: f64, density_b: f64, seed: u64
 
 /// The corpus shapes; each runs under every dataflow in [`Dataflow::ALL`]
 /// and on [`CpuMkl`].
-pub const SHAPES: [Shape; 6] = [
+pub const SHAPES: [Shape; 8] = [
     shape(32, 48, 40, 0.30, 0.20, 1),
     shape(96, 64, 80, 0.10, 0.40, 2),
     shape(160, 160, 160, 0.05, 0.05, 3),
     shape(64, 512, 48, 0.20, 0.15, 4),
     shape(8, 8, 8, 1.00, 1.00, 5),
     shape(32, 16, 1100, 0.50, 0.90, 6),
+    shape(20000, 32, 20000, 0.001, 0.001, 7),
+    shape(24, 40, 30, 0.30, 0.0, 8),
 ];
 
 /// One serialized corpus case.

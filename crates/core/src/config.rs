@@ -1,5 +1,5 @@
 //! Accelerator configuration (paper Table 5) and the engine's software
-//! tuning thresholds.
+//! settings.
 
 use crate::mapper::MapperCalibration;
 use flexagon_mem::MemoryConfig;
@@ -7,26 +7,15 @@ use flexagon_sim::Cycle;
 use flexagon_sparse::{AccumConfig, FiberFormat};
 use serde::{Deserialize, Serialize};
 
-/// Thresholds steering the engine's adaptive software paths.
+/// Software settings of the engine: intra-layer sharding, the default
+/// storage format, the psum accumulator tiers and the mapper's calibration.
 ///
-/// These do not model hardware — the cycle and traffic accounting is
-/// identical whichever path runs — they pick the cheapest *software*
-/// strategy for the operand shape at hand. The probe and accumulator
-/// gates are derived from the `threshold_probe` benchmark group's
-/// measured crossovers (see the named defaults below for the method);
-/// re-run that group on a new machine class to re-derive them.
+/// None of these models hardware. The accumulator tiers and the worker
+/// count never move a report byte; the shard grain decides which bands
+/// are simulated independently, and only the lossy `q8` format changes
+/// values.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
-    /// Inner-Product streaming loop: probe a fiber's index with the tile's
-    /// stationary list (instead of mask-scanning the fiber) when
-    /// `stationary_coords * probe_gate_factor <= fiber_len`.
-    pub probe_gate_factor: usize,
-    /// Inner-Product dispatch: take the k-indexed tile loop when
-    /// `K >= indexed_min_k_ratio * multipliers`.
-    pub indexed_min_k_ratio: usize,
-    /// Inner-Product dispatch: upper bound, in elements, on the dense
-    /// `clusters x N` accumulator grid the k-indexed path may allocate.
-    pub indexed_max_acc_elements: usize,
     /// Intra-layer shard grain: target stationary-operand nonzeros per
     /// output-row band. `0` disables sharding (one band spanning every
     /// output row — the classic sequential execution).
@@ -60,30 +49,6 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Default for [`EngineConfig::probe_gate_factor`].
-    ///
-    /// Derived from `threshold_probe/{scan,probe}`: a mask-scan of a
-    /// 4096-element fiber is flat (~3.6 µs) while probing with a
-    /// stationary list `R` times shorter scales down with `R` (6.1 µs at
-    /// R=1, 3.0 µs at R=2, 1.5 µs at R=4) — the crossover sits between
-    /// R=1 and R=2, so the gate probes from a 2:1 length ratio on. (The
-    /// previous hand-tuned value of 4 left the 2–4x band on the slower
-    /// scan path.)
-    ///
-    /// The `threshold_probe/probe` numbers as compiled in the bench
-    /// *binary* read ~2x the lib-level cost at low `R` (a codegen/layout
-    /// artifact of that binary, not a library cost — see
-    /// `crates/sparse/tests/probe_micro.rs` and the BENCH_spgemm.json
-    /// notes), which moves their crossover to between R=2 and R=4. Naively
-    /// reading them would move the gate to 4, but an engine A/B of gate 2
-    /// vs 4 on `execute/table5` showed no dataflow where 4 wins (KMN was
-    /// 15% worse), so the gate stays 2.
-    pub const DEFAULT_PROBE_GATE_FACTOR: usize = 2;
-    /// Default for [`EngineConfig::indexed_min_k_ratio`].
-    pub const DEFAULT_INDEXED_MIN_K_RATIO: usize = 2;
-    /// Default for [`EngineConfig::indexed_max_acc_elements`] (8M elements,
-    /// a 32 MiB `f32` grid).
-    pub const DEFAULT_INDEXED_MAX_ACC_ELEMENTS: usize = 1 << 23;
     /// Default for [`EngineConfig::shard_grain_nnz`]: sharding disabled, so
     /// default-configured runs reproduce the unsharded accounting (and the
     /// recorded goldens) bit for bit.
@@ -107,9 +72,6 @@ impl EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            probe_gate_factor: Self::DEFAULT_PROBE_GATE_FACTOR,
-            indexed_min_k_ratio: Self::DEFAULT_INDEXED_MIN_K_RATIO,
-            indexed_max_acc_elements: Self::DEFAULT_INDEXED_MAX_ACC_ELEMENTS,
             shard_grain_nnz: Self::DEFAULT_SHARD_GRAIN_NNZ,
             shard_workers: Self::DEFAULT_SHARD_WORKERS,
             format: Self::DEFAULT_FORMAT,
@@ -135,7 +97,7 @@ pub struct AcceleratorConfig {
     pub l1_latency: Cycle,
     /// Memory hierarchy configuration.
     pub memory: MemoryConfig,
-    /// Software-path tuning thresholds (no effect on modeled cycles).
+    /// The engine's software settings.
     pub engine: EngineConfig,
 }
 
@@ -223,15 +185,6 @@ mod tests {
     #[test]
     fn engine_defaults_match_named_constants() {
         let e = EngineConfig::default();
-        assert_eq!(e.probe_gate_factor, EngineConfig::DEFAULT_PROBE_GATE_FACTOR);
-        assert_eq!(
-            e.indexed_min_k_ratio,
-            EngineConfig::DEFAULT_INDEXED_MIN_K_RATIO
-        );
-        assert_eq!(
-            e.indexed_max_acc_elements,
-            EngineConfig::DEFAULT_INDEXED_MAX_ACC_ELEMENTS
-        );
         assert_eq!(e.format, EngineConfig::DEFAULT_FORMAT);
         assert_eq!(e.format, FiberFormat::Soa);
         assert_eq!(

@@ -13,38 +13,33 @@
 //! re-stream of B per tile.
 //!
 //! The *hardware* re-streams B once per tile and that is what the cycle and
-//! traffic accounting charges, identically in every path below. The
-//! *software* simulates that re-stream without re-reading all of B:
+//! traffic accounting charges. The *software* simulates that re-stream
+//! without re-reading all of B:
 //!
 //! * Every tile sends the same access sequence through the STR cache (each
 //!   nonempty fiber of B once, ascending), so the cache model probes only
 //!   until one pass leaves its tags as it found them, and replays that
 //!   steady pass's totals for every later tile of the band
 //!   ([`StrCache::stream_pass`](flexagon_mem::StrCache::stream_pass)).
-//! * `run_indexed` (taken when K is large relative to the array) walks a
-//!   k-indexed copy of B — only the rows matching the tile's stationary
-//!   coordinates are touched, the Gamma-style schedule — at
+//! * The intersection walks a k-major copy of B, built once per execution
+//!   and shared by every band: only the rows matching the tile's
+//!   stationary coordinates are touched, the Gamma-style schedule, at
 //!   `O(Σ_{k∈tile} nnz(B_row_k))` per tile instead of `O(nnz(B))`.
-//! * `run_streaming` keeps the scan shape but lets each fiber pick its
-//!   short side: scan the fiber against the tile's bit mask, or probe the
-//!   fiber's tiered [`MatrixIndex`](flexagon_sparse::MatrixIndex) with the
-//!   tile's sorted stationary coordinates through a skip-ahead
-//!   [`Prober`](flexagon_sparse::Prober).
+//! * Products land in a dense `clusters x columns` register grid bounded
+//!   by [`ACC_GRID_ELEMENTS`]: the tile loop sweeps N in windows of
+//!   `ACC_GRID_ELEMENTS / multipliers` columns, each touched k keeping a
+//!   cursor into its row of B.
 //!
-//! The strategy choice and its precomputation (`B` re-majored by k, or the
-//! tiered index) are hoisted to the execution level ([`super::IpShared`])
-//! so every band of a sharded run shares one copy.
-//!
-//! Every path visits the matches of a given (cluster, streaming fiber) pair
-//! in ascending k, so each accumulator register receives its additions in
-//! the exact order of the original scan and execution reports stay
-//! bit-identical across strategies. Each tile loop allocates its scratch
-//! once per band and keeps it clean across the band's tiles.
+//! Each (cluster, column) register receives its additions in ascending k,
+//! the order of a fiber co-iteration, and columns are charged and emitted
+//! in ascending n, window after window, so reports and outputs do not
+//! depend on the window width. The loop allocates its scratch once per
+//! band and keeps it clean across the band's tiles.
 
-use super::{tiling, Engine, IpShared};
+use super::{tiling, Engine};
 use flexagon_mem::PassMemo;
 use flexagon_sim::{bottleneck, Phase};
-use flexagon_sparse::{CompressedMatrix, Element, Fiber, MatrixIndex, MatrixView, Value};
+use flexagon_sparse::{CompressedMatrix, Element, Fiber, MatrixView, Value};
 
 /// Cross-tile accumulator for rows split into chunks, one N-wide register
 /// file with a hit mask.
@@ -102,14 +97,28 @@ impl SplitAcc {
     }
 }
 
-pub(super) fn run(e: &mut Engine<'_>, shared: &IpShared) {
+/// Upper bound, in elements, on the dense `clusters x columns` accumulator
+/// grid. The tile loop sweeps N in windows of `ACC_GRID_ELEMENTS /
+/// multipliers` columns: 16,384 at Table 5's 64 multipliers, wider than
+/// both output dimensions of every benchmark layer (at most 12,100), so
+/// those run in one window, while a served B of up to 2^24 columns takes
+/// several.
+const ACC_GRID_ELEMENTS: usize = 1 << 20;
+
+/// Runs the band's tiles against `b_by_k`, the streaming operand `e.b`
+/// converted to k-major rows.
+pub(super) fn run(e: &mut Engine<'_>, b_by_k: &CompressedMatrix) {
+    let window = ACC_GRID_ELEMENTS / e.cfg.multipliers as usize;
+    run_in_windows(e, b_by_k, window);
+}
+
+/// [`run`] with the column window given: any width yields the same
+/// outcome.
+fn run_in_windows(e: &mut Engine<'_>, b_by_k: &CompressedMatrix, window: usize) {
     let mut plan = tiling::RowPlan::default();
     tiling::plan_rows(e.a, e.cfg.multipliers, e.band.clone(), &mut plan);
     let mut split_acc = SplitAcc::new(e.b.major_dim() as usize);
-    match shared {
-        IpShared::Indexed(b_by_k) => run_indexed(e, &plan, b_by_k, &mut split_acc),
-        IpShared::Streaming(b_index) => run_streaming(e, &plan, b_index, &mut split_acc),
-    }
+    tile_loop(e, &plan, b_by_k, window, &mut split_acc);
     // A cancelled tile loop leaves nothing worth assembling: the band is
     // dropped wholesale by `execute`.
     if e.is_cancelled() {
@@ -132,9 +141,8 @@ pub(super) fn run(e: &mut Engine<'_>, shared: &IpShared) {
 
 /// Fills `k_entries` with the tile's stationary coordinates — `k` maps to
 /// the `(cluster, stationary value)` pairs holding it — and `touched_k` with
-/// the distinct ks in ascending order. Shared by both tile loops: their
-/// accumulation inputs must be built identically for reports to stay
-/// bit-identical across paths.
+/// the distinct ks in ascending order, the accumulation order of a plain
+/// fiber scan.
 fn index_tile(
     a: MatrixView<'_>,
     tile: &[tiling::Cluster],
@@ -151,8 +159,6 @@ fn index_tile(
             slot.push((ci as u32, el.value));
         }
     }
-    // Ascending order is what the prober's skip-ahead cursor needs, and it
-    // reproduces the accumulation order of a plain fiber scan.
     touched_k.sort_unstable();
 }
 
@@ -186,27 +192,31 @@ fn emit_dot(
     }
 }
 
-/// The k-indexed tile loop: probe B through its row index, touching only the
-/// rows the tile holds stationary.
-fn run_indexed(
+/// The tile loop: each tile reads only the rows of B its stationary ks
+/// select, one column window at a time.
+fn tile_loop(
     e: &mut Engine<'_>,
     plan: &tiling::RowPlan,
     b_by_k: &CompressedMatrix,
+    window: usize,
     split_acc: &mut SplitAcc,
 ) {
     let (a, b) = (e.a, e.b);
     let n_dim = b.major_dim() as usize;
-    let n_words = n_dim.div_ceil(64);
+    let width = window.clamp(1, n_dim.max(1));
+    let w_words = width.div_ceil(64);
     let slots = e.cfg.multipliers as usize;
-    // k -> entries table, cleared by the tile that filled it; the dense
-    // `clusters x N` accumulator grid and its hit bits, swept clean by the
-    // emission pass; per-column tallies, reset by the accounting sweep.
+    // k -> entries table, cleared by the tile that filled it; per touched
+    // k, its position in B's row k; the dense `clusters x width`
+    // accumulator grid and its hit bits, swept clean by the emission pass;
+    // per-column tallies, reset by the accounting sweep.
     let mut k_entries = vec![Vec::new(); a.cols() as usize];
     let mut touched_k = Vec::new();
-    let mut acc: Vec<Value> = vec![0.0; slots * n_dim];
-    let mut hit = vec![0u64; slots * n_words];
-    let mut injected_n = vec![0u32; n_dim];
-    let mut delivered_n = vec![0u64; n_dim];
+    let mut cursor: Vec<usize> = Vec::new();
+    let mut acc: Vec<Value> = vec![0.0; slots * width];
+    let mut hit = vec![0u64; slots * w_words];
+    let mut injected_n = vec![0u32; width];
+    let mut delivered_n = vec![0u64; width];
     let mut memo = PassMemo::default();
 
     for tile in plan.tiles() {
@@ -218,56 +228,72 @@ fn run_indexed(
         stream_b(e, &mut memo);
 
         index_tile(a, tile, &mut k_entries, &mut touched_k);
+        cursor.clear();
+        cursor.resize(touched_k.len(), 0);
 
-        // Intersection phase: only the stationary ks' rows of B are read.
-        for &k in touched_k.iter() {
-            let row = b_by_k.fiber(k);
-            let entries = &k_entries[k as usize];
-            for (&n, &bval) in row.coords().iter().zip(row.values()) {
-                let n = n as usize;
-                injected_n[n] += 1;
-                delivered_n[n] += entries.len() as u64;
-                for &(ci, aval) in entries {
-                    let ci = ci as usize;
-                    hit[ci * n_words + (n >> 6)] |= 1u64 << (n & 63);
-                    acc[ci * n_dim + n] += aval * bval;
-                }
-            }
-        }
-
-        // Accounting + emission sweep in ascending n — the same per-fiber
-        // sequence of network charges and output pushes the streaming scan
-        // produces.
         let mut streaming = 0u64;
         let mut injected_tile = 0u64;
         let mut delivered_tile = 0u64;
         let mut final_elems = 0u64;
-        for n in 0..n_dim {
-            let len = b.fiber_len(n as u32) as u64;
-            if len == 0 {
-                continue;
-            }
-            let injected = u64::from(injected_n[n]);
-            let intersections = delivered_n[n];
-            injected_n[n] = 0;
-            delivered_n[n] = 0;
-            injected_tile += injected;
-            delivered_tile += intersections;
-            let mult = e.mn.multiply(intersections);
-            e.mrn.reduce(intersections);
-            streaming += bottleneck(&[e.dn_cycles(len), mult]);
-            if injected > 0 {
-                let (word, bit) = (n >> 6, 1u64 << (n & 63));
-                for (ci, cl) in tile.iter().enumerate() {
-                    let w = &mut hit[ci * n_words + word];
-                    if *w & bit == 0 {
-                        continue;
+        for lo in (0..n_dim).step_by(width) {
+            let hi = n_dim.min(lo + width);
+            // Intersection phase: only the stationary ks' rows of B are
+            // read, each from where the previous window left it.
+            for (&k, pos) in touched_k.iter().zip(cursor.iter_mut()) {
+                let row = b_by_k.fiber(k);
+                let coords = &row.coords()[*pos..];
+                let len = if hi == n_dim {
+                    coords.len()
+                } else {
+                    coords.partition_point(|&n| (n as usize) < hi)
+                };
+                let vals = &row.values()[*pos..*pos + len];
+                *pos += len;
+                let entries = &k_entries[k as usize];
+                for (&n, &bval) in coords[..len].iter().zip(vals) {
+                    let n = n as usize - lo;
+                    injected_n[n] += 1;
+                    delivered_n[n] += entries.len() as u64;
+                    for &(ci, aval) in entries {
+                        let ci = ci as usize;
+                        hit[ci * w_words + (n >> 6)] |= 1u64 << (n & 63);
+                        acc[ci * width + n] += aval * bval;
                     }
-                    *w &= !bit;
-                    let slot = ci * n_dim + n;
-                    let value = acc[slot];
-                    acc[slot] = 0.0;
-                    emit_dot(e, cl, n as u32, value, &mut final_elems, split_acc);
+                }
+            }
+
+            // Accounting + emission sweep in ascending n: the per-fiber
+            // network charges and output pushes of a streaming scan.
+            for n in lo..hi {
+                let len = b.fiber_len(n as u32) as u64;
+                if len == 0 {
+                    continue;
+                }
+                let w = n - lo;
+                let injected = u64::from(injected_n[w]);
+                let intersections = delivered_n[w];
+                injected_n[w] = 0;
+                delivered_n[w] = 0;
+                injected_tile += injected;
+                delivered_tile += intersections;
+                let mult = e.mn.multiply(intersections);
+                e.mrn.reduce(intersections);
+                // Controller scans the fiber from the cache at DN rate; the
+                // multipliers and the reduction tree run concurrently.
+                streaming += bottleneck(&[e.dn_cycles(len), mult]);
+                if injected > 0 {
+                    let (word, bit) = (w >> 6, 1u64 << (w & 63));
+                    for (ci, cl) in tile.iter().enumerate() {
+                        let h = &mut hit[ci * w_words + word];
+                        if *h & bit == 0 {
+                            continue;
+                        }
+                        *h &= !bit;
+                        let slot = ci * width + w;
+                        let value = acc[slot];
+                        acc[slot] = 0.0;
+                        emit_dot(e, cl, n as u32, value, &mut final_elems, split_acc);
+                    }
                 }
             }
         }
@@ -283,132 +309,33 @@ fn run_indexed(
     }
 }
 
-/// The streaming tile loop: every fiber of B flows past each tile, and each
-/// fiber is intersected from its cheaper side.
-fn run_streaming(
-    e: &mut Engine<'_>,
-    plan: &tiling::RowPlan,
-    b_index: &MatrixIndex,
-    split_acc: &mut SplitAcc,
-) {
-    let (a, b) = (e.a, e.b);
-    let probe_gate_factor = e.cfg.engine.probe_gate_factor;
-    let k_dim = a.cols() as usize;
-    let slots = e.cfg.multipliers as usize;
-    // k -> entries table and one-bit-per-k mask, both cleared by the tile
-    // that filled them; per-cluster dot accumulators and hit flags, reset
-    // as each column's dot products are emitted.
-    let mut k_entries = vec![Vec::new(); k_dim];
-    let mut k_mask = vec![0u64; k_dim.div_ceil(64)];
-    let mut touched_k = Vec::new();
-    let mut acc: Vec<Value> = vec![0.0; slots];
-    let mut hit = vec![false; slots];
-    let mut hit_list: Vec<u32> = Vec::new();
-    let mut memo = PassMemo::default();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AcceleratorConfig, CancelToken};
+    use flexagon_sparse::{gen, MajorOrder};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
-    for tile in plan.tiles() {
-        // Tile boundary: a fired token stops before the next tile streams.
-        if e.is_cancelled() {
-            return;
-        }
-        e.stationary_phase(tiling::slots_used(tile));
-        stream_b(e, &mut memo);
-
-        // Index this tile's stationary coordinates and set the scan mask.
-        index_tile(a, tile, &mut k_entries, &mut touched_k);
-        for &k in touched_k.iter() {
-            k_mask[(k >> 6) as usize] |= 1u64 << (k & 63);
-        }
-        let (tile_lo, tile_hi) = match (touched_k.first(), touched_k.last()) {
-            (Some(&lo), Some(&hi)) => (lo, hi),
-            _ => (1, 0), // empty tile: probes find nothing either way
+    #[test]
+    fn window_width_never_changes_the_outcome() {
+        // Four multipliers: A's rows of ~12 elements split across tiles,
+        // and B's 150 columns span up to 150 windows.
+        let cfg = AcceleratorConfig::tiny();
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let a = gen::random(24, 40, 0.3, MajorOrder::Row, &mut rng);
+        let b = gen::random(40, 150, 0.2, MajorOrder::Col, &mut rng);
+        assert!((0..a.rows()).any(|r| a.view().fiber_len(r) > 4));
+        let b_by_k = b.converted(MajorOrder::Row);
+        let cancel = CancelToken::never();
+        let outcome = |window: usize| {
+            let mut e = Engine::new(&cfg, a.view(), b.view(), 0..a.rows(), &cancel);
+            run_in_windows(&mut e, &b_by_k, window);
+            format!("{:?}", e.into_outcome())
         };
-
-        // Streaming phase: the whole of B flows past this tile once.
-        let mut streaming = 0u64;
-        let mut injected_tile = 0u64;
-        let mut delivered_tile = 0u64;
-        let mut final_elems = 0u64;
-        for n in 0..b.major_dim() {
-            let len = b.fiber_len(n) as u64;
-            if len == 0 {
-                continue;
-            }
-            let mut intersections = 0u64;
-            let mut injected = 0u64;
-            let fiber = b.fiber(n);
-            let (coords, vals) = (fiber.coords(), fiber.values());
-            let overlaps = coords[coords.len() - 1] >= tile_lo && coords[0] <= tile_hi;
-            let probe_wins = touched_k.len() * probe_gate_factor <= coords.len();
-            if !overlaps {
-                // Disjoint coordinate ranges: nothing can intersect. The
-                // fiber still streams past (charged below), but no scan or
-                // probe work is spent on it.
-            } else if probe_wins {
-                // The tile's stationary list is much the shorter side: probe
-                // the fiber's index with it instead of re-scanning the fiber.
-                let mut prober = b_index.fiber(n).prober(fiber);
-                for &c in touched_k.iter() {
-                    let Some((_, bval)) = prober.probe(c) else {
-                        continue;
-                    };
-                    let entries = &k_entries[c as usize];
-                    injected += 1;
-                    intersections += entries.len() as u64;
-                    for &(ci, aval) in entries {
-                        let ci = ci as usize;
-                        if !hit[ci] {
-                            hit[ci] = true;
-                            hit_list.push(ci as u32);
-                        }
-                        acc[ci] += aval * bval;
-                    }
-                }
-            } else {
-                // Scan the fiber and test membership against the tile mask.
-                for (i, &c) in coords.iter().enumerate() {
-                    if k_mask[(c >> 6) as usize] & (1u64 << (c & 63)) == 0 {
-                        continue;
-                    }
-                    let entries = &k_entries[c as usize];
-                    injected += 1;
-                    intersections += entries.len() as u64;
-                    for &(ci, aval) in entries {
-                        let ci = ci as usize;
-                        if !hit[ci] {
-                            hit[ci] = true;
-                            hit_list.push(ci as u32);
-                        }
-                        acc[ci] += aval * vals[i];
-                    }
-                }
-            }
-            injected_tile += injected;
-            delivered_tile += intersections;
-            let mult = e.mn.multiply(intersections);
-            e.mrn.reduce(intersections);
-            // Controller scans the fiber from the cache at DN rate; the
-            // multipliers and the reduction tree run concurrently.
-            streaming += bottleneck(&[e.dn_cycles(len), mult]);
-            // Emit completed dot products for this column.
-            for &ci in hit_list.iter() {
-                let cl = &tile[ci as usize];
-                let value = acc[ci as usize];
-                emit_dot(e, cl, n, value, &mut final_elems, split_acc);
-                acc[ci as usize] = 0.0;
-                hit[ci as usize] = false;
-            }
-            hit_list.clear();
-        }
-        split_acc.close_after(tile);
-        e.dn.send_irregular(injected_tile, delivered_tile.max(injected_tile));
-        streaming += e.mrn.fill_latency();
-        e.wbuf.write(final_elems, &mut e.dram);
-        e.advance_with_dram(Phase::Streaming, streaming);
-
-        for &k in touched_k.iter() {
-            k_entries[k as usize].clear();
-            k_mask[(k >> 6) as usize] = 0;
+        let one_window = outcome(usize::MAX);
+        for window in [1, 7, 64, 149] {
+            assert_eq!(outcome(window), one_window, "window {window}");
         }
     }
 }

@@ -50,24 +50,12 @@ use flexagon_sim::{
     bottleneck, cycles_for, Bandwidth, CounterSet, Cycle, Phase, PhaseClock, Ratio,
 };
 use flexagon_sparse::{
-    stats::SpGemmWork, CompressedMatrix, Fiber, FormatError, MajorOrder, MatrixIndex, MatrixView,
-    RowAccum, Value,
+    stats::SpGemmWork, CompressedMatrix, Fiber, FormatError, MajorOrder, MatrixView, RowAccum,
+    Value,
 };
 use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::ops::Range;
-
-/// Precomputed per-execution state shared read-only by every band of an
-/// Inner-Product run: the streaming operand's k-major copy (k-indexed tile
-/// loop) or its tiered coordinate index (streaming scan). Computed once at
-/// the execution level — the dispatch gate depends only on global shape,
-/// so every band takes the same path.
-enum IpShared {
-    /// `B` converted to k-major rows for the k-indexed tile loop.
-    Indexed(CompressedMatrix),
-    /// Tiered per-fiber index over `B` for the probing streaming scan.
-    Streaming(MatrixIndex),
-}
 
 /// Runs `a x b` under `dataflow` on the given configuration, returning the
 /// output matrix (in the dataflow's natural format) and the report.
@@ -125,10 +113,8 @@ pub(crate) fn execute(
     let work = SpGemmWork::of_views(a_eff, b_eff);
     let class = dataflow.class();
     let bands = shard_bands(a_eff, cfg.engine.shard_grain_nnz);
-    let shared = match class {
-        DataflowClass::InnerProduct => Some(ip_shared(cfg, a_eff, b_eff)),
-        _ => None,
-    };
+    // Inner Product reads B by k: one k-major copy serves every band.
+    let b_by_k = (class == DataflowClass::InnerProduct).then(|| b_eff.converted(MajorOrder::Row));
     // Multi-band Outer-Product planning: one bucketing pass hands every
     // band its elements in walk order, keeping total planning linear in
     // nnz(A) instead of O(bands x nnz(A)) full rescans.
@@ -145,7 +131,7 @@ pub(crate) fn execute(
         let mut engine = Engine::new(cfg, a_eff, b_eff, bands[bi].clone(), cancel);
         match class {
             DataflowClass::InnerProduct => {
-                inner_product::run(&mut engine, shared.as_ref().expect("precomputed"))
+                inner_product::run(&mut engine, b_by_k.as_ref().expect("k-major copy"))
             }
             DataflowClass::OuterProduct => {
                 outer_product::run(&mut engine, op_buckets.as_ref().map(|b| b[bi].as_slice()))
@@ -188,27 +174,6 @@ pub(crate) fn execute(
     };
     debug_assert_eq!(c.order(), dataflow.c_format());
     Ok((c, report))
-}
-
-/// Chooses and precomputes the Inner-Product strategy state. The dispatch
-/// thresholds live on `EngineConfig`: the k-indexed path wins when K
-/// dwarfs the array and its dense `clusters x N` accumulator grid stays
-/// affordable.
-fn ip_shared(cfg: &AcceleratorConfig, a: MatrixView<'_>, b: MatrixView<'_>) -> IpShared {
-    let k_dim = a.cols() as usize;
-    let n_dim = b.major_dim() as usize;
-    let slots = cfg.multipliers as usize;
-    let indexed = k_dim >= cfg.engine.indexed_min_k_ratio * slots
-        && slots.saturating_mul(n_dim) <= cfg.engine.indexed_max_acc_elements
-        && b.nnz() > 0;
-    if indexed {
-        // B's elements grouped by k. A CSC fiber scan visits each k in
-        // ascending order; so does a walk of ascending stationary ks over
-        // this copy, which is what keeps sums bit-identical across paths.
-        IpShared::Indexed(b.converted(MajorOrder::Row))
-    } else {
-        IpShared::Streaming(MatrixIndex::build(b))
-    }
 }
 
 /// Buckets the column-major stationary operand's `(k, row, value)`

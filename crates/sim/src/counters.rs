@@ -191,10 +191,9 @@ mod tests {
 
     /// The golden-report bit-identity check (`golden_reports` binary)
     /// depends on counter serialization being a pure function of the
-    /// recorded (name, value) pairs: insertion order must not leak. The
-    /// indexed Inner-Product paths record the same probe totals in a
-    /// different order than the streaming scan, and this is what guarantees
-    /// their reports still serialize identically.
+    /// recorded (name, value) pairs: insertion order must not leak, so a
+    /// phase loop may record the same totals in any order and still
+    /// serialize identically.
     #[test]
     fn serialization_is_insertion_order_independent() {
         let mut scan_order = CounterSet::new();

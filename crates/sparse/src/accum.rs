@@ -10,8 +10,8 @@
 //! buffering that keeps merge bandwidth off the critical path in streaming
 //! designs like Sextans and dense/sparse hybrids like FlexiSAGA.
 //!
-//! [`RowAccum`] picks a tier per row from the shape of its output span,
-//! mirroring the span/nnz heuristics of the [`index`](crate::index) tiers:
+//! [`RowAccum`] picks a tier per row from the shape of its output span, its
+//! width against the number of psums it expects:
 //!
 //! * **Dense** — the span is tight enough that a value slot per coordinate
 //!   is affordable: scatters are one indexed add, and the drain walks the
@@ -44,8 +44,7 @@ pub struct AccumConfig {
     /// Absolute span cap for the dense tier, bounding the value array.
     pub dense_max_span: u64,
     /// Paged tier when `span <= nnz_hint * paged_bits_per_elem`: each
-    /// expected element justifies this many presence-bitmap bits (the
-    /// analogue of [`index::BITS_PER_ELEMENT`](crate::index::BITS_PER_ELEMENT)).
+    /// expected element justifies this many presence-bitmap bits.
     pub paged_bits_per_elem: u64,
     /// Absolute span cap for the paged tier, bounding the bitmap.
     pub paged_max_span: u64,

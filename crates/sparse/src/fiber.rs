@@ -11,7 +11,7 @@
 //! branch-predictable, cache-dense and auto-vectorizable. The [`Element`]
 //! duple remains the API unit: iteration yields `Element`s by value.
 
-use crate::{Element, FiberIndex, Value};
+use crate::{Element, Value};
 
 /// An owned fiber: a coordinate-sorted list of [`Element`]s in
 /// struct-of-arrays layout.
@@ -381,90 +381,6 @@ impl<'a> FiberView<'a> {
         }
         (acc, work)
     }
-
-    /// Number of coordinates present in both fibers.
-    pub fn intersect_count(&self, other: FiberView<'_>) -> usize {
-        self.dot(other).1
-    }
-
-    /// Dot product via galloping (exponential-search) intersection.
-    ///
-    /// Drives from the shorter fiber and gallops through the longer one, so
-    /// skewed intersections cost `O(short · log(long / short))` instead of
-    /// `O(short + long)`. Matches are visited in ascending coordinate order
-    /// and multiplication is commutative bit-exactly, so the accumulated sum
-    /// is bit-identical to [`FiberView::dot`].
-    pub fn dot_gallop(&self, other: FiberView<'_>) -> (Value, usize) {
-        let (short, long) = if self.len() <= other.len() {
-            (*self, other)
-        } else {
-            (other, *self)
-        };
-        let (sc, lc) = (short.coords, long.coords);
-        let mut acc = 0.0;
-        let mut work = 0;
-        let mut j = 0usize;
-        for (i, &c) in sc.iter().enumerate() {
-            j += gallop(&lc[j..], c);
-            if j == lc.len() {
-                break;
-            }
-            if lc[j] == c {
-                acc += short.values[i] * long.values[j];
-                work += 1;
-                j += 1;
-            }
-        }
-        (acc, work)
-    }
-
-    /// Dot product probing `other` through its prebuilt [`FiberIndex`].
-    ///
-    /// Iterates this fiber's coordinates (clamped to `other`'s coordinate
-    /// range) and probes the index with a skip-ahead cursor. Matches arrive
-    /// in ascending coordinate order, so the sum is bit-identical to
-    /// [`FiberView::dot`]. `other_index` must have been built from `other`'s
-    /// coordinate slice.
-    pub fn dot_probe(&self, other: FiberView<'_>, other_index: &FiberIndex) -> (Value, usize) {
-        if self.is_empty() || other.is_empty() {
-            return (0.0, 0);
-        }
-        let oc = other.coords;
-        let (o_first, o_last) = (oc[0], oc[oc.len() - 1]);
-        // Clamp to the overlap window: coordinates outside it cannot match.
-        let start = self.coords.partition_point(|&c| c < o_first);
-        let mut acc = 0.0;
-        let mut work = 0;
-        let mut prober = other_index.prober(other);
-        for (i, &c) in self.coords.iter().enumerate().skip(start) {
-            if c > o_last {
-                break;
-            }
-            if let Some((_, ov)) = prober.probe(c) {
-                acc += self.values[i] * ov;
-                work += 1;
-            }
-        }
-        (acc, work)
-    }
-}
-
-/// Index of the first element of `coords` that is `>= target` — `O(log d)`
-/// where `d` is the returned distance.
-#[inline]
-fn gallop(coords: &[u32], target: u32) -> usize {
-    let n = coords.len();
-    if n == 0 || coords[0] >= target {
-        return 0;
-    }
-    let mut lo = 0usize;
-    let mut step = 1usize;
-    while lo + step < n && coords[lo + step] < target {
-        lo += step;
-        step <<= 1;
-    }
-    let hi = (lo + step).min(n);
-    lo + 1 + coords[lo + 1..hi].partition_point(|&c| c < target)
 }
 
 impl<'a> IntoIterator for FiberView<'a> {
@@ -610,13 +526,6 @@ mod tests {
         assert_eq!(chunk.len(), 2);
         assert_eq!(chunk.element(0), Element::new(3, 2.0));
         assert_eq!(chunk.element(1), Element::new(5, 3.0));
-    }
-
-    #[test]
-    fn intersect_count_matches_dot_work() {
-        let a = f(&[(0, 1.0), (1, 1.0), (2, 1.0)]);
-        let b = f(&[(1, 1.0), (2, 1.0), (3, 1.0)]);
-        assert_eq!(a.as_view().intersect_count(b.as_view()), 2);
     }
 
     #[test]

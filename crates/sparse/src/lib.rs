@@ -11,9 +11,6 @@
 //!   thus, can be seen as a single compression format"; we encode that
 //!   observation directly: one type, tagged with a [`MajorOrder`].
 //! * [`DenseMatrix`] — dense reference used by tests and golden models.
-//! * [`FiberIndex`] / [`MatrixIndex`] — tiered coordinate indexes (dense
-//!   bitmap or block-skip list per fiber) behind the skip-ahead intersection
-//!   paths of the Inner-Product dataflow.
 //! * [`RowAccum`] — tiered per-row psum accumulators (dense array, paged
 //!   bitmap-directed gather, or sorted-run list) behind the Outer-Product
 //!   and Gustavson merge paths.
@@ -55,7 +52,6 @@ mod error;
 mod fiber;
 pub mod format;
 pub mod gen;
-pub mod index;
 pub mod io;
 pub mod merge;
 pub mod reference;
@@ -69,7 +65,6 @@ pub use element::{Element, Value, ELEMENT_BYTES};
 pub use error::FormatError;
 pub use fiber::{ElementIter, Fiber, FiberView};
 pub use format::{FiberFormat, FormattedMatrix};
-pub use index::{FiberIndex, MatrixIndex, Prober};
 pub use validate::{validate_matrix, ValidationConfig, ValidationError, ValuePolicy};
 
 /// Convenience result alias for fallible format operations.

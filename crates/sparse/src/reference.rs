@@ -9,9 +9,7 @@
 //!
 //! All return C in CSR (the M-stationary output format of Table 3).
 
-use crate::{
-    merge, CompressedMatrix, Element, Fiber, FormatError, MajorOrder, MatrixIndex, Result,
-};
+use crate::{merge, CompressedMatrix, Element, Fiber, FormatError, MajorOrder, Result, Value};
 
 fn check_dims(a: &CompressedMatrix, b: &CompressedMatrix) -> Result<()> {
     if a.cols() != b.rows() {
@@ -48,19 +46,34 @@ pub fn inner_product(a: &CompressedMatrix, b: &CompressedMatrix) -> Result<Compr
             actual: b.order(),
         });
     }
-    // Index B's column fibers once; every (m, n) dot product then probes the
-    // index instead of co-iterating both fibers. Matches are visited in
-    // ascending k either way, so sums stay bit-identical to `FiberView::dot`.
-    let b_index = MatrixIndex::build(b.view());
+    // Scatter each row of A into a dense K-wide array, then walk every
+    // column of B against it once. Matches arrive in ascending k, so each
+    // sum is bit-identical to `FiberView::dot` of the two fibers.
+    let k_dim = a.cols() as usize;
+    let mut a_row: Vec<Value> = vec![0.0; k_dim];
+    let mut present = vec![false; k_dim];
     let mut fibers = Vec::with_capacity(a.rows() as usize);
     for (_, a_fiber) in a.fibers() {
         let mut out = Fiber::new();
         if !a_fiber.is_empty() {
+            for (&k, &v) in a_fiber.coords().iter().zip(a_fiber.values()) {
+                a_row[k as usize] = v;
+                present[k as usize] = true;
+            }
             for (n, b_fiber) in b.fibers() {
-                let (v, work) = a_fiber.dot_probe(b_fiber, b_index.fiber(n));
-                if work > 0 && v != 0.0 {
-                    out.push(Element::new(n, v));
+                let (mut sum, mut matched) = (0.0, false);
+                for (&k, &bv) in b_fiber.coords().iter().zip(b_fiber.values()) {
+                    if present[k as usize] {
+                        sum += a_row[k as usize] * bv;
+                        matched = true;
+                    }
                 }
+                if matched && sum != 0.0 {
+                    out.push(Element::new(n, sum));
+                }
+            }
+            for &k in a_fiber.coords() {
+                present[k as usize] = false;
             }
         }
         fibers.push(out);

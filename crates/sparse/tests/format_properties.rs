@@ -22,6 +22,33 @@ fn matrix(max_dim: u32) -> impl Strategy<Value = CompressedMatrix> {
     })
 }
 
+/// Strategy: an `m x k` CSR operand and a `k x n` CSC operand. Three in
+/// four values are halves from -2 to 2, so dot products can cancel to
+/// exactly zero; the rest are inexact, so a sum in another order shows.
+fn ip_operands() -> impl Strategy<Value = (CompressedMatrix, CompressedMatrix)> {
+    fn cells(rows: u32, cols: u32) -> impl Strategy<Value = Vec<(u32, u32, f32)>> {
+        let total = (rows * cols) as usize;
+        let value =
+            (-4i32..8, 0.1f32..3.0).prop_map(|(v, f)| if v > 4 { f } else { v as f32 * 0.5 });
+        proptest::collection::btree_map(0..total, value, 0..total.min(150)).prop_map(
+            move |entries| {
+                entries
+                    .into_iter()
+                    .map(|(p, v)| (p as u32 / cols, p as u32 % cols, v))
+                    .collect()
+            },
+        )
+    }
+    (1u32..12, 1u32..80, 1u32..12).prop_flat_map(|(m, k, n)| {
+        (cells(m, k), cells(k, n)).prop_map(move |(ta, tb)| {
+            (
+                CompressedMatrix::from_triplets(m, k, &ta, MajorOrder::Row).expect("in range"),
+                CompressedMatrix::from_triplets(k, n, &tb, MajorOrder::Col).expect("in range"),
+            )
+        })
+    })
+}
+
 proptest! {
     /// CSR -> CSC -> CSR is the identity.
     #[test]
@@ -77,6 +104,27 @@ proptest! {
         let op = reference::outer_product(&a.converted(MajorOrder::Col), &b).unwrap();
         for c in [gu, ip, op] {
             prop_assert!(DenseMatrix::from_compressed(&c).approx_eq(&want, 1e-2));
+        }
+    }
+
+    /// The reference Inner Product is one `FiberView::dot` per (m, n)
+    /// pair, bit for bit: a pair is stored when at least one k matches and
+    /// its sum is not zero.
+    #[test]
+    fn inner_product_matches_per_pair_dot((a, b) in ip_operands()) {
+        let c = reference::inner_product(&a, &b).unwrap();
+        let bits = |vals: &[f32]| vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for m in 0..a.rows() {
+            let mut want = Fiber::new();
+            for n in 0..b.cols() {
+                let (v, work) = a.fiber(m).dot(b.fiber(n));
+                if work > 0 && v != 0.0 {
+                    want.push(Element::new(n, v));
+                }
+            }
+            let got = c.fiber(m);
+            prop_assert_eq!(got.coords(), want.coords());
+            prop_assert_eq!(bits(got.values()), bits(want.values()));
         }
     }
 
