@@ -12,37 +12,91 @@
 //! SIGMA-like bars of Fig. 14 show zero psum traffic while paying a full
 //! re-stream of B per tile.
 //!
-//! The *hardware* re-streams B once per tile and that is what the cycle and
-//! traffic accounting charges. The *software* simulates that re-stream
-//! without re-reading all of B:
+//! The *hardware* re-streams B once per tile, and that is what the cycle
+//! and traffic accounting charges. A column `n` of length `len_n > 0` costs
+//! the tile `bottleneck(dn_cycles(len_n), mn.multiply(x_n))`, where `x_n`
+//! is the number of products landing in column `n`. Each stationary element
+//! meets column `n` at most once, so `x_n` is at most the tile's occupied
+//! slots, at most `multipliers`: the multiply term is 0 or 1 cycle and
+//! never exceeds `dn_cycles(len_n) ≥ 1`. A tile therefore streams for
+//! `S_B + fill_latency` cycles, where `S_B = Σ_{len_n > 0} ceil(len_n /
+//! dn_bandwidth)` is one number per execution ([`Stream`]), and its
+//! counters follow from the tile's totals: `Σ x_n` multiplications and
+//! reduced products, and `Σ x_n − #{n : x_n ≥ 1}` additions.
+//!
+//! The *software* simulates that re-stream with work that follows the
+//! tile's products, not B's dimensions:
 //!
 //! * Every tile sends the same access sequence through the STR cache (each
 //!   nonempty fiber of B once, ascending), so the cache model probes only
 //!   until one pass leaves its tags as it found them, and replays that
 //!   steady pass's totals for every later tile of the band
 //!   ([`StrCache::stream_pass`](flexagon_mem::StrCache::stream_pass)).
-//! * The intersection walks a k-major copy of B, built once per execution
-//!   and shared by every band: only the rows matching the tile's
-//!   stationary coordinates are touched, the Gamma-style schedule, at
-//!   `O(Σ_{k∈tile} nnz(B_row_k))` per tile instead of `O(nnz(B))`.
-//! * Products land in a dense `clusters x columns` register grid bounded
-//!   by [`ACC_GRID_ELEMENTS`]: the tile loop sweeps N in windows of
-//!   `ACC_GRID_ELEMENTS / multipliers` columns, each touched k keeping a
-//!   cursor into its row of B.
+//! * The intersection walks B k-major, shared by every band: only the rows
+//!   matching the tile's stationary coordinates are touched, the
+//!   Gamma-style schedule, at `O(Σ_{k∈tile} nnz(B_row_k))` per tile
+//!   instead of `O(nnz(B))`. For each touched k, ascending, each stationary
+//!   entry holding k scatters B's row k into its own cluster's row of a
+//!   dense `clusters x columns` register grid with hit bits.
+//! * The grid is bounded by [`ACC_GRID_ELEMENTS`]: the tile loop sweeps N
+//!   in windows of `ACC_GRID_ELEMENTS / multipliers` columns, each touched
+//!   k keeping a cursor into its row of B. A window that received no
+//!   product is skipped; otherwise `#{n : x_n ≥ 1}` is the popcount of the
+//!   OR of the clusters' hit words, and each cluster drains its hit words
+//!   in ascending n.
 //!
-//! Each (cluster, column) register receives its additions in ascending k,
-//! the order of a fiber co-iteration, and columns are charged and emitted
-//! in ascending n, window after window, so reports and outputs do not
-//! depend on the window width. The loop allocates its scratch once per
-//! band and keeps it clean across the band's tiles.
+//! A cluster holds each k at most once, so each (cluster, column) register
+//! receives its additions in ascending k, the order of a fiber
+//! co-iteration, and every output row receives its columns in ascending n,
+//! window after window, so reports and outputs do not depend on the window
+//! width. The loop allocates its scratch once per band and keeps it clean
+//! across the band's tiles.
 
 use super::{tiling, Engine};
 use flexagon_mem::PassMemo;
-use flexagon_sim::{bottleneck, Phase};
-use flexagon_sparse::{CompressedMatrix, Element, Fiber, MatrixView, Value};
+use flexagon_sim::{cycles_for, Cycle, Phase};
+use flexagon_sparse::{Element, Fiber, MatrixView, Value};
+
+/// The streaming operand as Inner Product reads it, prepared once per
+/// execution and shared by every band.
+pub(super) struct Stream<'a> {
+    /// The operand k-major: row k holds B's elements `(n, value)` in
+    /// ascending n (under IP(N), A's column k).
+    by_k: MatrixView<'a>,
+    /// `(first element, length)` of every nonempty fiber of B in Table 3's
+    /// CSC, in ascending n: the STR cache's address space.
+    fibers: Vec<(u64, u64)>,
+    /// `S_B`: the cycles the controller takes to scan all of B at DN rate.
+    scan_cycles: Cycle,
+}
+
+impl<'a> Stream<'a> {
+    /// Lays out `by_k`'s CSC fibers with one counting pass over its
+    /// coordinates, without converting it.
+    pub(super) fn new(by_k: MatrixView<'a>, dn_bandwidth: u64) -> Self {
+        let mut lens = vec![0u32; by_k.cols() as usize];
+        for &n in by_k.coords() {
+            lens[n as usize] += 1;
+        }
+        let (mut first, mut scan_cycles) = (0u64, 0);
+        let mut fibers = Vec::new();
+        for len in lens.into_iter().map(u64::from) {
+            if len > 0 {
+                fibers.push((first, len));
+                scan_cycles += cycles_for(len, dn_bandwidth);
+            }
+            first += len;
+        }
+        Self {
+            by_k,
+            fibers,
+            scan_cycles,
+        }
+    }
+}
 
 /// Cross-tile accumulator for rows split into chunks, one N-wide register
-/// file with a hit mask.
+/// file with a hit mask, allocated by the first split-row dot product.
 ///
 /// The planner gives a split row's first chunk a tile of its own and its
 /// chunks consecutive tiles, so at most one split row is open at a time.
@@ -50,6 +104,7 @@ use flexagon_sparse::{CompressedMatrix, Element, Fiber, MatrixView, Value};
 /// order, and the tile holding its last chunk closes it into a sorted
 /// fiber. Rows close in ascending order.
 struct SplitAcc {
+    n_dim: usize,
     /// The row accumulating, once one of its dot products has landed.
     open: Option<u32>,
     acc: Vec<Value>,
@@ -61,15 +116,20 @@ struct SplitAcc {
 impl SplitAcc {
     fn new(n_dim: usize) -> Self {
         Self {
+            n_dim,
             open: None,
-            acc: vec![0.0; n_dim],
-            hit: vec![0; n_dim.div_ceil(64)],
+            acc: Vec::new(),
+            hit: Vec::new(),
             closed: Vec::new(),
         }
     }
 
     fn add(&mut self, row: u32, n: u32, value: Value) {
         assert_eq!(*self.open.get_or_insert(row), row, "two split rows open");
+        if self.acc.is_empty() {
+            self.acc = vec![0.0; self.n_dim];
+            self.hit = vec![0; self.n_dim.div_ceil(64)];
+        }
         let n = n as usize;
         self.hit[n >> 6] |= 1u64 << (n & 63);
         self.acc[n] += value;
@@ -105,20 +165,19 @@ impl SplitAcc {
 /// several.
 const ACC_GRID_ELEMENTS: usize = 1 << 20;
 
-/// Runs the band's tiles against `b_by_k`, the streaming operand `e.b`
-/// converted to k-major rows.
-pub(super) fn run(e: &mut Engine<'_>, b_by_k: &CompressedMatrix) {
+/// Runs the band's tiles against the streaming operand.
+pub(super) fn run(e: &mut Engine<'_>, stream: &Stream<'_>) {
     let window = ACC_GRID_ELEMENTS / e.cfg.multipliers as usize;
-    run_in_windows(e, b_by_k, window);
+    run_in_windows(e, stream, window);
 }
 
 /// [`run`] with the column window given: any width yields the same
 /// outcome.
-fn run_in_windows(e: &mut Engine<'_>, b_by_k: &CompressedMatrix, window: usize) {
+fn run_in_windows(e: &mut Engine<'_>, stream: &Stream<'_>, window: usize) {
     let mut plan = tiling::RowPlan::default();
     tiling::plan_rows(e.a, e.cfg.multipliers, e.band.clone(), &mut plan);
-    let mut split_acc = SplitAcc::new(e.b.major_dim() as usize);
-    tile_loop(e, &plan, b_by_k, window, &mut split_acc);
+    let mut split_acc = SplitAcc::new(stream.by_k.cols() as usize);
+    tile_loop(e, &plan, stream, window, &mut split_acc);
     // A cancelled tile loop leaves nothing worth assembling: the band is
     // dropped wholesale by `execute`.
     if e.is_cancelled() {
@@ -162,17 +221,6 @@ fn index_tile(
     touched_k.sort_unstable();
 }
 
-/// Streams the whole of B past one tile through the STR cache: every
-/// nonempty fiber once, in ascending order. `memo` is the band's, so the
-/// band's later tiles replay its steady pass.
-fn stream_b(e: &mut Engine<'_>, memo: &mut PassMemo) {
-    let ranges = e.b.ptr().windows(2).filter_map(|w| {
-        let len = (w[1] - w[0]) as u64;
-        (len > 0).then_some((w[0] as u64, len))
-    });
-    e.cache.stream_pass(ranges, &mut e.dram, memo);
-}
-
 /// Records `value` as cluster `cl`'s finished dot product for column `n`.
 #[inline]
 fn emit_dot(
@@ -197,26 +245,23 @@ fn emit_dot(
 fn tile_loop(
     e: &mut Engine<'_>,
     plan: &tiling::RowPlan,
-    b_by_k: &CompressedMatrix,
+    stream: &Stream<'_>,
     window: usize,
     split_acc: &mut SplitAcc,
 ) {
-    let (a, b) = (e.a, e.b);
-    let n_dim = b.major_dim() as usize;
+    let (a, by_k) = (e.a, stream.by_k);
+    let n_dim = by_k.cols() as usize;
     let width = window.clamp(1, n_dim.max(1));
     let w_words = width.div_ceil(64);
     let slots = e.cfg.multipliers as usize;
     // k -> entries table, cleared by the tile that filled it; per touched
     // k, its position in B's row k; the dense `clusters x width`
-    // accumulator grid and its hit bits, swept clean by the emission pass;
-    // per-column tallies, reset by the accounting sweep.
+    // accumulator grid and its hit bits, drained clean by the emission.
     let mut k_entries = vec![Vec::new(); a.cols() as usize];
     let mut touched_k = Vec::new();
     let mut cursor: Vec<usize> = Vec::new();
     let mut acc: Vec<Value> = vec![0.0; slots * width];
     let mut hit = vec![0u64; slots * w_words];
-    let mut injected_n = vec![0u32; width];
-    let mut delivered_n = vec![0u64; width];
     let mut memo = PassMemo::default();
 
     for tile in plan.tiles() {
@@ -225,82 +270,83 @@ fn tile_loop(
             return;
         }
         e.stationary_phase(tiling::slots_used(tile));
-        stream_b(e, &mut memo);
+        e.cache
+            .stream_pass(stream.fibers.iter().copied(), &mut e.dram, &mut memo);
 
         index_tile(a, tile, &mut k_entries, &mut touched_k);
         cursor.clear();
         cursor.resize(touched_k.len(), 0);
 
-        let mut streaming = 0u64;
-        let mut injected_tile = 0u64;
-        let mut delivered_tile = 0u64;
-        let mut final_elems = 0u64;
+        // B elements injected, products delivered (`Σ x_n`), columns that
+        // received one (`#{n : x_n ≥ 1}`), and whole-row dots stored.
+        let (mut injected, mut products, mut columns, mut final_elems) = (0u64, 0u64, 0u64, 0u64);
         for lo in (0..n_dim).step_by(width) {
             let hi = n_dim.min(lo + width);
             // Intersection phase: only the stationary ks' rows of B are
             // read, each from where the previous window left it.
+            let window_products = products;
             for (&k, pos) in touched_k.iter().zip(cursor.iter_mut()) {
-                let row = b_by_k.fiber(k);
+                let row = by_k.fiber(k);
                 let coords = &row.coords()[*pos..];
                 let len = if hi == n_dim {
                     coords.len()
                 } else {
                     coords.partition_point(|&n| (n as usize) < hi)
                 };
-                let vals = &row.values()[*pos..*pos + len];
+                let (coords, vals) = (&coords[..len], &row.values()[*pos..*pos + len]);
                 *pos += len;
                 let entries = &k_entries[k as usize];
-                for (&n, &bval) in coords[..len].iter().zip(vals) {
-                    let n = n as usize - lo;
-                    injected_n[n] += 1;
-                    delivered_n[n] += entries.len() as u64;
-                    for &(ci, aval) in entries {
-                        let ci = ci as usize;
-                        hit[ci * w_words + (n >> 6)] |= 1u64 << (n & 63);
-                        acc[ci * width + n] += aval * bval;
+                injected += len as u64;
+                products += (len * entries.len()) as u64;
+                for &(ci, aval) in entries {
+                    let ci = ci as usize;
+                    let acc = &mut acc[ci * width..(ci + 1) * width];
+                    let hit = &mut hit[ci * w_words..(ci + 1) * w_words];
+                    // The hit word stays in a register while consecutive
+                    // columns share it, instead of a store-to-load chain
+                    // through memory.
+                    let (mut word, mut bits) = (0usize, 0u64);
+                    for (&n, &bval) in coords.iter().zip(vals) {
+                        let n = n as usize - lo;
+                        if n >> 6 != word {
+                            hit[word] |= bits;
+                            (word, bits) = (n >> 6, 0);
+                        }
+                        bits |= 1u64 << (n & 63);
+                        acc[n] += aval * bval;
                     }
+                    hit[word] |= bits;
                 }
             }
+            if products == window_products {
+                continue;
+            }
 
-            // Accounting + emission sweep in ascending n: the per-fiber
-            // network charges and output pushes of a streaming scan.
-            for n in lo..hi {
-                let len = b.fiber_len(n as u32) as u64;
-                if len == 0 {
-                    continue;
-                }
-                let w = n - lo;
-                let injected = u64::from(injected_n[w]);
-                let intersections = delivered_n[w];
-                injected_n[w] = 0;
-                delivered_n[w] = 0;
-                injected_tile += injected;
-                delivered_tile += intersections;
-                let mult = e.mn.multiply(intersections);
-                e.mrn.reduce(intersections);
-                // Controller scans the fiber from the cache at DN rate; the
-                // multipliers and the reduction tree run concurrently.
-                streaming += bottleneck(&[e.dn_cycles(len), mult]);
-                if injected > 0 {
-                    let (word, bit) = (w >> 6, 1u64 << (w & 63));
-                    for (ci, cl) in tile.iter().enumerate() {
-                        let h = &mut hit[ci * w_words + word];
-                        if *h & bit == 0 {
-                            continue;
-                        }
-                        *h &= !bit;
-                        let slot = ci * width + w;
-                        let value = acc[slot];
-                        acc[slot] = 0.0;
-                        emit_dot(e, cl, n as u32, value, &mut final_elems, split_acc);
+            // Emission: the columns any cluster hit, then each cluster's
+            // dots in ascending n.
+            let words = (hi - lo).div_ceil(64);
+            for w in 0..words {
+                let any = (0..tile.len()).fold(0, |any, ci| any | hit[ci * w_words + w]);
+                columns += u64::from(any.count_ones());
+            }
+            for (ci, cl) in tile.iter().enumerate() {
+                for w in 0..words {
+                    let word = &mut hit[ci * w_words + w];
+                    while *word != 0 {
+                        let n = w * 64 + word.trailing_zeros() as usize;
+                        *word &= *word - 1;
+                        let value = std::mem::take(&mut acc[ci * width + n]);
+                        emit_dot(e, cl, (lo + n) as u32, value, &mut final_elems, split_acc);
                     }
                 }
             }
         }
         split_acc.close_after(tile);
-        e.dn.send_irregular(injected_tile, delivered_tile.max(injected_tile));
-        streaming += e.mrn.fill_latency();
+        e.mn.multiply(products);
+        e.mrn.reduce(products, columns);
+        e.dn.send_irregular(injected, products.max(injected));
         e.wbuf.write(final_elems, &mut e.dram);
+        let streaming = stream.scan_cycles + e.mrn.fill_latency();
         e.advance_with_dram(Phase::Streaming, streaming);
 
         for &k in touched_k.iter() {
@@ -324,13 +370,13 @@ mod tests {
         let cfg = AcceleratorConfig::tiny();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let a = gen::random(24, 40, 0.3, MajorOrder::Row, &mut rng);
-        let b = gen::random(40, 150, 0.2, MajorOrder::Col, &mut rng);
+        let b = gen::random(40, 150, 0.2, MajorOrder::Row, &mut rng);
         assert!((0..a.rows()).any(|r| a.view().fiber_len(r) > 4));
-        let b_by_k = b.converted(MajorOrder::Row);
+        let stream = Stream::new(b.view(), cfg.dn_bandwidth);
         let cancel = CancelToken::never();
         let outcome = |window: usize| {
             let mut e = Engine::new(&cfg, a.view(), b.view(), 0..a.rows(), &cancel);
-            run_in_windows(&mut e, &b_by_k, window);
+            run_in_windows(&mut e, &stream, window);
             format!("{:?}", e.into_outcome())
         };
         let one_window = outcome(usize::MAX);

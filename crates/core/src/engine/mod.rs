@@ -11,7 +11,13 @@
 //! format-matching run borrows the caller's data untouched and the
 //! N-stationary duality is a zero-copy relabeling. Only an explicit format
 //! conversion (the "EC" cost of Table 4) materializes a new matrix, and it
-//! lives on `execute`'s stack just long enough to be viewed.
+//! lives on `execute`'s stack just long enough to be viewed. Inner
+//! Product's tile loop reads its streaming operand (B under IP(M), A under
+//! IP(N)) k-major, the order opposite its Table 3 format. An operand that
+//! arrives k-major is borrowed: its EC is counted, since Table 3 still
+//! wants it converted, but not performed. One that arrives in its Table 3
+//! format is copied k-major once per execution, and that copy counts no
+//! EC.
 //!
 //! # Sharded execution
 //!
@@ -80,24 +86,24 @@ pub(crate) fn execute(
             right_rows: b.rows(),
         }));
     }
-    // Bring operands into the dataflow's Table 3 formats, counting explicit
-    // conversions (the "EC" cost Flexagon's inter-layer mechanism avoids).
-    // A format-matching operand is borrowed, never copied.
-    let mut explicit_conversions = 0u32;
-    let a_conv;
-    let a_view = if a.order() == dataflow.a_format() {
+    // Count explicit conversions against the dataflow's Table 3 formats
+    // (the "EC" cost Flexagon's inter-layer mechanism avoids), then bring
+    // each operand into the order the engine reads it in. An operand
+    // already in that order is borrowed, never copied.
+    let explicit_conversions =
+        u32::from(a.order() != dataflow.a_format()) + u32::from(b.order() != dataflow.b_format());
+    let (a_order, b_order) = read_orders(dataflow);
+    let (a_conv, b_conv);
+    let a_view = if a.order() == a_order {
         a.view()
     } else {
-        explicit_conversions += 1;
-        a_conv = a.converted(dataflow.a_format());
+        a_conv = a.converted(a_order);
         a_conv.view()
     };
-    let b_conv;
-    let b_view = if b.order() == dataflow.b_format() {
+    let b_view = if b.order() == b_order {
         b.view()
     } else {
-        explicit_conversions += 1;
-        b_conv = b.converted(dataflow.b_format());
+        b_conv = b.converted(b_order);
         b_conv.view()
     };
     // Orient to M-stationary: an N-stationary run of C = A x B is the
@@ -113,8 +119,9 @@ pub(crate) fn execute(
     let work = SpGemmWork::of_views(a_eff, b_eff);
     let class = dataflow.class();
     let bands = shard_bands(a_eff, cfg.engine.shard_grain_nnz);
-    // Inner Product reads B by k: one k-major copy serves every band.
-    let b_by_k = (class == DataflowClass::InnerProduct).then(|| b_eff.converted(MajorOrder::Row));
+    // Inner Product's view of its k-major B, laid out once for every band.
+    let ip_stream = (class == DataflowClass::InnerProduct)
+        .then(|| inner_product::Stream::new(b_eff, cfg.dn_bandwidth));
     // Multi-band Outer-Product planning: one bucketing pass hands every
     // band its elements in walk order, keeping total planning linear in
     // nnz(A) instead of O(bands x nnz(A)) full rescans.
@@ -131,7 +138,7 @@ pub(crate) fn execute(
         let mut engine = Engine::new(cfg, a_eff, b_eff, bands[bi].clone(), cancel);
         match class {
             DataflowClass::InnerProduct => {
-                inner_product::run(&mut engine, b_by_k.as_ref().expect("k-major copy"))
+                inner_product::run(&mut engine, ip_stream.as_ref().expect("IP stream"))
             }
             DataflowClass::OuterProduct => {
                 outer_product::run(&mut engine, op_buckets.as_ref().map(|b| b[bi].as_slice()))
@@ -174,6 +181,17 @@ pub(crate) fn execute(
     };
     debug_assert_eq!(c.order(), dataflow.c_format());
     Ok((c, report))
+}
+
+/// The major orders the engine reads A and B in under `dataflow`: Table 3's
+/// formats, except that Inner Product reads its streaming operand k-major.
+fn read_orders(dataflow: Dataflow) -> (MajorOrder, MajorOrder) {
+    let (a, b) = (dataflow.a_format(), dataflow.b_format());
+    match (dataflow.class(), dataflow.stationarity()) {
+        (DataflowClass::InnerProduct, Stationarity::M) => (a, b.flipped()),
+        (DataflowClass::InnerProduct, Stationarity::N) => (a.flipped(), b),
+        _ => (a, b),
+    }
 }
 
 /// Buckets the column-major stationary operand's `(k, row, value)`
@@ -364,7 +382,9 @@ pub(crate) struct Engine<'a> {
     pub cfg: &'a AcceleratorConfig,
     /// Stationary operand (CSR for IP/Gust, CSC for OP), borrowed.
     pub a: MatrixView<'a>,
-    /// Streaming operand (CSC for IP, CSR for OP/Gust), borrowed.
+    /// Streaming operand, borrowed: CSR for OP/Gust, and k-major (row-major)
+    /// for IP, whose tile loop takes it through its own
+    /// `inner_product::Stream` and never reads this field.
     pub b: MatrixView<'a>,
     /// The output-row band this engine owns (global row coordinates).
     pub band: Range<u32>,

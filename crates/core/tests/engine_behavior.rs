@@ -259,3 +259,122 @@ fn psram_spills_surface_in_offchip_traffic() {
         "spill writes exceed the plain output traffic"
     );
 }
+
+/// FNV-1a (64-bit) over the report JSON followed by the output JSON, the
+/// golden corpus's case digest.
+fn digest(out: &flexagon_core::RunOutput) -> u64 {
+    let report = serde_json::to_string(&out.report).expect("report serializes");
+    let c = serde_json::to_string(&out.c).expect("matrix serializes");
+    report
+        .bytes()
+        .chain(c.bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn inner_product_reports_match_recorded_digests() {
+    // The golden corpus runs Table 5 only. These digests pin IP(M) and
+    // IP(N) on `tiny()` and on variants that push the per-column charge to
+    // its extremes: one element per DN cycle, a DN that takes any fiber in
+    // one cycle, and two multipliers. The shapes: rows and columns longer
+    // than the multipliers; empty columns of B; and dense enough that a
+    // column receives a product on every multiplier.
+    let shapes = [
+        pair(8, 40, 8, 0.3, 0.3, 31),
+        pair(8, 40, 40, 0.3, 0.03, 32),
+        pair(6, 8, 12, 1.0, 0.9, 33),
+    ];
+    assert!((0..8).any(|m| shapes[0].0.fiber_len(m) > 4));
+    let b_csc = shapes[1].1.converted(MajorOrder::Col);
+    assert!((0..40).any(|n| b_csc.fiber_len(n) == 0));
+    let tiny = AcceleratorConfig::tiny();
+    let configs = [
+        tiny,
+        AcceleratorConfig {
+            dn_bandwidth: 1,
+            ..tiny
+        },
+        AcceleratorConfig {
+            dn_bandwidth: 1 << 20,
+            ..tiny
+        },
+        AcceleratorConfig {
+            multipliers: 2,
+            ..tiny
+        },
+    ];
+    // IP(M) then IP(N), per config, per shape: recorded from a build that
+    // charged every column of B separately, which the per-run closed form
+    // must reproduce.
+    const EXPECTED: [u64; 24] = [
+        0x0c58723d10069e45,
+        0x7bee1b4f38430642,
+        0xd27879ceda5a0e9d,
+        0x8a8bd2f40e46c95e,
+        0x2798da4ce8396b8c,
+        0xc09be8375becf98f,
+        0xf31a48a013d01d10,
+        0xf359e22deea6defc,
+        0x33ac28f75ba935a4,
+        0x8a68fc27d2dcb6c2,
+        0xe7eb56f28a2d3b67,
+        0xa759006bdb8039e5,
+        0x31be79638402b3c1,
+        0x8a68fc27d2dcb6c2,
+        0x64d048573e1124e5,
+        0xd6766bd1e7b0f750,
+        0x7ab16052b61b7166,
+        0x16ad59e63474e5b8,
+        0x176b1fdf0b4c7344,
+        0x1dfe7fef0db3ee79,
+        0xa5568e16f4a88e46,
+        0x28f79f583a2756f2,
+        0xf751fac553378023,
+        0xb1904c1b7dd7483f,
+    ];
+    let mut actual = Vec::new();
+    for (a, b) in &shapes {
+        for cfg in configs {
+            let accel = Flexagon::new(cfg);
+            for df in [Dataflow::InnerProductM, Dataflow::InnerProductN] {
+                actual.push(digest(&run_df(&accel, a, b, df).unwrap()));
+            }
+        }
+    }
+    let listing: String = actual.iter().map(|d| format!("0x{d:016x},\n")).collect();
+    assert_eq!(actual, EXPECTED, "digests drifted; now:\n{listing}");
+}
+
+#[test]
+fn inner_product_reads_its_streamed_operand_in_either_order() {
+    // IP(M) streams B and IP(N) streams A. Whichever major order that
+    // operand arrives in, C and the report are the same, except for the
+    // Table 3 conversion count: 1 when the operand is not in its Table 3
+    // format (B in CSC for IP(M), A in CSR for IP(N)), 0 when it is.
+    let accel = Flexagon::new(AcceleratorConfig::tiny());
+    let (a_csr, b_csr) = pair(12, 40, 10, 0.4, 0.4, 34);
+    let (a_csc, b_csc) = (
+        a_csr.converted(MajorOrder::Col),
+        b_csr.converted(MajorOrder::Col),
+    );
+    let cases = [
+        (Dataflow::InnerProductM, (&a_csr, &b_csc), (&a_csr, &b_csr)),
+        (Dataflow::InnerProductN, (&a_csr, &b_csc), (&a_csc, &b_csc)),
+    ];
+    for (df, (a, b), (a_k, b_k)) in cases {
+        let native = run_df(&accel, a, b, df).unwrap();
+        let by_k = run_df(&accel, a_k, b_k, df).unwrap();
+        assert_eq!(native.report.explicit_conversions, 0, "{df}");
+        assert_eq!(by_k.report.explicit_conversions, 1, "{df}");
+        assert_eq!(by_k.c, native.c, "{df}");
+        let mut report = by_k.report.clone();
+        report.explicit_conversions = 0;
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&native.report).unwrap(),
+            "{df}"
+        );
+    }
+}

@@ -13,7 +13,7 @@
 //! Timing uses the pipelined-tree model: a pass costs the tree depth (fill)
 //! plus bandwidth-limited streaming of the input volume.
 
-use flexagon_sim::{cycles_for, Bandwidth, Cycle};
+use flexagon_sim::{Bandwidth, Cycle};
 use flexagon_sparse::{merge, Fiber, FiberView};
 use serde::{Deserialize, Serialize};
 
@@ -165,14 +165,19 @@ impl MergerReductionNetwork {
         }
     }
 
-    /// Streams `products` partial products through the adders (adder mode)
-    /// and returns the cycles the tree's input side is occupied.
-    pub fn reduce(&mut self, products: u64) -> Cycle {
+    /// Reduces `products` partial products into `sums` full sums through
+    /// the adders (adder mode): a sum of `x` products takes `x - 1`
+    /// additions, so the batch takes `products - sums`. The caller charges
+    /// the cycles: the leaves absorb up to `leaves` products per cycle, and
+    /// the fill latency is paid once per tile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums > products`: every sum holds at least one product.
+    pub fn reduce(&mut self, products: u64, sums: u64) {
+        assert!(sums <= products, "{sums} sums of {products} products");
         self.reduced_products += products;
-        self.additions += products.saturating_sub(1);
-        // The leaves absorb up to `leaves` products per cycle; fill latency
-        // is charged once per tile by the engine.
-        cycles_for(products, self.cfg.leaves as u64)
+        self.additions += products - sums;
     }
 
     /// Total additions performed (both modes).
@@ -287,17 +292,30 @@ mod tests {
     }
 
     #[test]
-    fn reduce_throughput_is_leaf_bound() {
+    fn reduce_adds_all_but_one_product_per_sum() {
         let mut mrn = MergerReductionNetwork::with_defaults();
-        assert_eq!(mrn.reduce(64), 1);
-        assert_eq!(mrn.reduce(65), 2);
-        assert_eq!(mrn.reduced_products(), 129);
+        // Two sums: one of 64 products, one of a single product.
+        mrn.reduce(65, 2);
+        assert_eq!(mrn.reduced_products(), 65);
+        assert_eq!(mrn.additions(), 63);
+        // A batch of single-product sums adds nothing.
+        mrn.reduce(7, 7);
+        assert_eq!(mrn.reduced_products(), 72);
+        assert_eq!(mrn.additions(), 63);
+        mrn.reduce(0, 0);
+        assert_eq!(mrn.additions(), 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 sums of 2 products")]
+    fn reduce_rejects_more_sums_than_products() {
+        MergerReductionNetwork::with_defaults().reduce(2, 3);
     }
 
     #[test]
     fn counters_accumulate_across_modes() {
         let mut mrn = MergerReductionNetwork::with_defaults();
-        mrn.reduce(10);
+        mrn.reduce(10, 1);
         let a = fiber(&[(0, 1.0)]);
         let b = fiber(&[(0, 1.0)]);
         mrn.merge_fibers(&[a.as_view(), b.as_view()]);

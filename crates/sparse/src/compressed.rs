@@ -538,7 +538,14 @@ impl CompressedMatrix {
     /// word, Table 5); pointers 4 bytes each. This is the `cs{A,B,C}` metric
     /// of Tables 2 and 6.
     pub fn compressed_size_bytes(&self) -> u64 {
-        self.nnz() as u64 * ELEMENT_BYTES + (self.major_dim() as u64 + 1) * 4
+        Self::compressed_size_of(self.major_dim(), self.nnz() as u64)
+    }
+
+    /// [`CompressedMatrix::compressed_size_bytes`] of a matrix with
+    /// `major_dim` fibers holding `nnz` elements, for a caller that knows
+    /// only the counts.
+    pub fn compressed_size_of(major_dim: u32, nnz: u64) -> u64 {
+        nnz * ELEMENT_BYTES + (u64::from(major_dim) + 1) * 4
     }
 
     /// Reinterprets this matrix as its transpose, free of data movement.
