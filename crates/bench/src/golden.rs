@@ -72,7 +72,7 @@ const fn shape(m: u32, k: u32, n: u32, density_a: f64, density_b: f64, seed: u64
 
 /// The corpus shapes; each runs under every dataflow in [`Dataflow::ALL`]
 /// and on [`CpuMkl`].
-pub const SHAPES: [Shape; 8] = [
+pub const SHAPES: [Shape; 9] = [
     shape(32, 48, 40, 0.30, 0.20, 1),
     shape(96, 64, 80, 0.10, 0.40, 2),
     shape(160, 160, 160, 0.05, 0.05, 3),
@@ -81,6 +81,9 @@ pub const SHAPES: [Shape; 8] = [
     shape(32, 16, 1100, 0.50, 0.90, 6),
     shape(20000, 32, 20000, 0.001, 0.001, 7),
     shape(24, 40, 30, 0.30, 0.0, 8),
+    // Every Gustavson row spans more chunks than the MRN's radix, so its
+    // chunk fibers merge in two passes and spill the PSRAM.
+    shape(4, 5000, 16, 0.95, 0.90, 9),
 ];
 
 /// One serialized corpus case.

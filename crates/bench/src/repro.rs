@@ -22,35 +22,60 @@ use flexagon_sparse::CompressedMatrix;
 
 use crate::render::{geomean, kib, mib, pct, speedup, table};
 use crate::runner::{
-    run_layer, run_model, LayerResults, ModelResults, RunOptions, SystemId, DEFAULT_SEED,
+    run_layer, run_layers, LayerResults, ModelResults, RunOptions, SystemId, DEFAULT_SEED,
 };
 
 /// The simulation passes the sections share, at [`DEFAULT_SEED`]. Each
 /// runs at most once, on first use, and prints its host time to stderr.
 #[derive(Debug, Default)]
 pub struct Inputs {
-    suite: OnceCell<Vec<ModelResults>>,
+    suite: OnceCell<SuitePass>,
     table6: OnceCell<Vec<(&'static str, LayerResults)>>,
 }
 
+/// What the suite pass keeps of every suite model, in suite order.
+#[derive(Debug)]
+struct SuitePass {
+    /// The model's aggregated results under the default options.
+    results: Vec<ModelResults>,
+    /// The model's Table 2 statistics, from the same layers' operands.
+    stats: Vec<ModelStats>,
+}
+
 impl Inputs {
-    /// [`run_model`] of every suite model, in suite order.
-    fn suite(&self) -> &[ModelResults] {
+    /// [`run_layers`] of every suite model under the default options.
+    fn suite_pass(&self) -> &SuitePass {
         self.suite.get_or_init(|| {
             let start = Instant::now();
             let models = suite();
-            let results: Vec<ModelResults> = models
-                .iter()
-                .map(|model| run_model(model, DEFAULT_SEED, false))
-                .collect();
+            let mut pass = SuitePass {
+                results: Vec::with_capacity(models.len()),
+                stats: Vec::with_capacity(models.len()),
+            };
+            for model in &models {
+                let layers = run_layers(model, DEFAULT_SEED, &RunOptions::default());
+                // Every report carries its operands' nonzero counts.
+                let nnz: Vec<(u64, u64)> = layers
+                    .iter()
+                    .map(|l| (l.cpu.work.nnz_a, l.cpu.work.nnz_b))
+                    .collect();
+                pass.stats.push(ModelStats::from_counts(model, &nnz));
+                pass.results
+                    .push(ModelResults::aggregate(model, &layers, false));
+            }
             let layers: usize = models.iter().map(|m| m.layers.len()).sum();
             eprintln!(
                 "suite pass: {} models / {layers} layers {:.1} s",
                 models.len(),
                 start.elapsed().as_secs_f64()
             );
-            results
+            pass
         })
+    }
+
+    /// Every suite model's aggregated results, in suite order.
+    fn suite(&self) -> &[ModelResults] {
+        &self.suite_pass().results
     }
 
     /// [`run_layer`] of every Table 6 layer under the default options,
@@ -571,16 +596,17 @@ fn fig16_offchip_traffic(inputs: &Inputs, out: &mut String) -> fmt::Result {
     )
 }
 
-/// Table 2: the DNN model suite — layer counts, sparsities, compressed
-/// sizes and CPU baseline cycles (the suite pass's CPU MKL totals).
+/// Table 2: the DNN model suite — layer counts, sparsities and compressed
+/// sizes (from the suite pass's operand counts) and CPU baseline cycles
+/// (the suite pass's CPU MKL totals).
 fn table2_models(inputs: &Inputs, out: &mut String) -> fmt::Result {
     writeln!(
         out,
         "Table 2 — DNN models (measured on the synthetic suite)\n"
     )?;
+    let pass = inputs.suite_pass();
     let mut rows = Vec::new();
-    for (model, r) in suite().iter().zip(inputs.suite()) {
-        let stats = ModelStats::measure(model, DEFAULT_SEED);
+    for ((model, r), stats) in suite().iter().zip(&pass.results).zip(&pass.stats) {
         rows.push(vec![
             format!("{} ({})", model.name, model.short),
             model.domain.to_string(),

@@ -253,6 +253,40 @@ pub struct ModelResults {
 }
 
 impl ModelResults {
+    /// Aggregates a model's per-layer results, in layer order as
+    /// [`run_layers`] returns them, into per-system totals and the winner
+    /// list. Totals accumulate sequentially, so every output byte matches
+    /// the sequential runner's whatever schedule produced the layers.
+    ///
+    /// `verbose` prints one line per layer to stderr.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` does not hold one result per layer of `model`.
+    pub fn aggregate(model: &DnnModel, layers: &[LayerResults], verbose: bool) -> Self {
+        assert_eq!(layers.len(), model.layers.len(), "one result per layer");
+        let mut totals = [0u64; 5];
+        let mut winners = Vec::with_capacity(layers.len());
+        for (spec, layer) in model.layers.iter().zip(layers) {
+            for (i, system) in SystemId::ALL.into_iter().enumerate() {
+                totals[i] += layer.of(system).total_cycles;
+            }
+            winners.push(layer.flexagon_dataflow);
+            if verbose {
+                eprintln!(
+                    "  {}/{}: {} -> {}",
+                    model.short, spec.index, spec.name, layer.flexagon_dataflow
+                );
+            }
+        }
+        Self {
+            short: model.short,
+            name: model.name,
+            total_cycles: totals,
+            winners,
+        }
+    }
+
     /// Total cycles for one system.
     pub fn cycles(&self, system: SystemId) -> u64 {
         let idx = SystemId::ALL
@@ -278,13 +312,8 @@ pub fn run_model(model: &DnnModel, seed: u64, verbose: bool) -> ModelResults {
 }
 
 /// Runs every layer of a model under the given [`RunOptions`] and
-/// aggregates per-system totals.
-///
-/// Nested-parallelism budget: when layers fan out across the rayon pool,
-/// the intra-layer shard workers are clamped to
-/// [`intra_layer_worker_budget`] so the two levels never multiply into
-/// oversubscription. When `layer_parallel` is off, layers run sequentially
-/// and the configured shard workers own the machine.
+/// aggregates per-system totals: [`ModelResults::aggregate`] over
+/// [`run_layers`].
 ///
 /// `verbose` prints one progress line per layer to stderr.
 pub fn run_model_opts(
@@ -293,6 +322,18 @@ pub fn run_model_opts(
     opts: &RunOptions,
     verbose: bool,
 ) -> ModelResults {
+    ModelResults::aggregate(model, &run_layers(model, seed, opts), verbose)
+}
+
+/// Runs every layer of a model under the given [`RunOptions`], returning
+/// the results in layer order.
+///
+/// Nested-parallelism budget: when layers fan out across the rayon pool,
+/// the intra-layer shard workers are clamped to
+/// [`intra_layer_worker_budget`] so the two levels never multiply into
+/// oversubscription. When `layer_parallel` is off, layers run sequentially
+/// and the configured shard workers own the machine.
+pub fn run_layers(model: &DnnModel, seed: u64, opts: &RunOptions) -> Vec<LayerResults> {
     let mut opts = *opts;
     if opts.layer_parallel {
         let threads = rayon::current_num_threads();
@@ -307,12 +348,10 @@ pub fn run_model_opts(
     }
     // Layers are independent given the fixed seed (each materializes its own
     // deterministic operands from `spec` + `seed`), so the whole model fans
-    // out across cores; results come back in layer order, and totals are
-    // accumulated sequentially so the aggregation order — and therefore
-    // every output byte — matches the sequential runner's. (Sharded engines
+    // out across cores; results come back in layer order. (Sharded engines
     // are themselves schedule-independent, so the clamp above affects wall
     // clock only, never a report bit.)
-    let layers: Vec<LayerResults> = if opts.layer_parallel {
+    if opts.layer_parallel {
         model
             .layers
             .par_iter()
@@ -324,26 +363,6 @@ pub fn run_model_opts(
             .iter()
             .map(|spec| run_layer(spec, seed, &opts))
             .collect()
-    };
-    let mut totals = [0u64; 5];
-    let mut winners = Vec::with_capacity(model.layers.len());
-    for (spec, layer) in model.layers.iter().zip(&layers) {
-        for (i, system) in SystemId::ALL.into_iter().enumerate() {
-            totals[i] += layer.of(system).total_cycles;
-        }
-        winners.push(layer.flexagon_dataflow);
-        if verbose {
-            eprintln!(
-                "  {}/{}: {} -> {}",
-                model.short, spec.index, spec.name, layer.flexagon_dataflow
-            );
-        }
-    }
-    ModelResults {
-        short: model.short,
-        name: model.name,
-        total_cycles: totals,
-        winners,
     }
 }
 

@@ -4,16 +4,18 @@
 use crate::mapper::MapperCalibration;
 use flexagon_mem::MemoryConfig;
 use flexagon_sim::Cycle;
-use flexagon_sparse::{AccumConfig, FiberFormat};
+use flexagon_sparse::FiberFormat;
 use serde::{Deserialize, Serialize};
 
 /// Software settings of the engine: intra-layer sharding, the default
-/// storage format, the psum accumulator tiers and the mapper's calibration.
+/// storage format and the mapper's calibration.
 ///
-/// None of these models hardware. The accumulator tiers and the worker
-/// count never move a report byte; the shard grain decides which bands
-/// are simulated independently, and only the lossy `q8` format changes
-/// values.
+/// None of these models hardware. The worker count never moves a report
+/// byte; the shard grain decides which bands are simulated independently,
+/// and only the lossy `q8` format changes values. The psum accumulators
+/// are not configured here: the engine always arms them with the tier
+/// cutoffs of [`AccumConfig::default`](flexagon_sparse::AccumConfig),
+/// which never move a report byte either.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Intra-layer shard grain: target stationary-operand nonzeros per
@@ -39,8 +41,6 @@ pub struct EngineConfig {
     /// here or pinned on the request (opt-in). The engine itself never
     /// reads this field; `Accelerator::execute` resolves it.
     pub format: FiberFormat,
-    /// Tier cutoffs for the Outer-Product/Gustavson psum accumulators.
-    pub accum: AccumConfig,
     /// Fitted corrections for the heuristic mapper's closed-form cost
     /// model (defaults to the checked-in `mapper_calibrate` fit; see
     /// [`MapperCalibration`]). Like the other fields, this has no effect
@@ -75,7 +75,6 @@ impl Default for EngineConfig {
             shard_grain_nnz: Self::DEFAULT_SHARD_GRAIN_NNZ,
             shard_workers: Self::DEFAULT_SHARD_WORKERS,
             format: Self::DEFAULT_FORMAT,
-            accum: AccumConfig::default(),
             mapper: MapperCalibration::calibrated(),
         }
     }
@@ -187,14 +186,8 @@ mod tests {
         let e = EngineConfig::default();
         assert_eq!(e.format, EngineConfig::DEFAULT_FORMAT);
         assert_eq!(e.format, FiberFormat::Soa);
-        assert_eq!(
-            e.accum.dense_span_per_elem,
-            AccumConfig::DEFAULT_DENSE_SPAN_PER_ELEM
-        );
-        assert_eq!(
-            e.accum.runs_merge_limit,
-            AccumConfig::DEFAULT_RUNS_MERGE_LIMIT
-        );
+        assert_eq!(e.shard_grain_nnz, EngineConfig::DEFAULT_SHARD_GRAIN_NNZ);
+        assert_eq!(e.shard_workers, EngineConfig::DEFAULT_SHARD_WORKERS);
         assert_eq!(e.mapper, MapperCalibration::calibrated());
     }
 

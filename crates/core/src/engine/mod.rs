@@ -56,8 +56,8 @@ use flexagon_sim::{
     bottleneck, cycles_for, Bandwidth, CounterSet, Cycle, Phase, PhaseClock, Ratio,
 };
 use flexagon_sparse::{
-    stats::SpGemmWork, CompressedMatrix, Fiber, FormatError, MajorOrder, MatrixView, RowAccum,
-    Value,
+    stats::SpGemmWork, AccumConfig, CompressedMatrix, Fiber, FormatError, MajorOrder, MatrixView,
+    RowAccum, Value,
 };
 use rayon::prelude::*;
 use std::collections::VecDeque;
@@ -400,9 +400,6 @@ pub(crate) struct Engine<'a> {
     pub counters: CounterSet,
     /// Output fibers per band row (`out_fibers[row - band.start]`).
     pub out_fibers: Vec<Fiber>,
-    /// Scaled-fiber staging pool for the streaming phases, reused across
-    /// the band's tiles.
-    pub scaled_pool: Vec<Fiber>,
     /// Accumulator backing the merge passes of
     /// [`Engine::merge_row_fibers`], reused across the band's rows.
     pub merge_acc: RowAccum,
@@ -456,7 +453,6 @@ impl<'a> Engine<'a> {
             phases: PhaseClock::new(),
             counters: CounterSet::new(),
             out_fibers: vec![Fiber::new(); band_rows],
-            scaled_pool: Vec::new(),
             merge_acc: RowAccum::new(),
             tiles_run: 0,
             cancel,
@@ -513,14 +509,17 @@ impl<'a> Engine<'a> {
     /// merged fiber and the cycles spent.
     ///
     /// Each source is a [`Psum`]: a scaled view of one B row (an
-    /// Outer-Product partial fed by a single B row) or an owned fiber. Each
-    /// pass runs through a tiered [`RowAccum`] instead of the comparator-tree
-    /// replay: scattering the batch in queue order folds every coordinate's
-    /// values in the merge's own source order, and a scaled view stores or
-    /// adds the same `v * aval` its materialized copy would hold, so the
-    /// result — including the nested fold across passes — is bit-identical
-    /// to `mrn.merge_fibers` over the materialized sources while the MRN
-    /// charges the same pass model.
+    /// Outer-Product partial fed by a single B row) or an owned fiber (a
+    /// Gustavson split row's chunk fiber, or a reloaded Outer-Product
+    /// partial). Empty sources are dropped first. Each pass runs through a
+    /// tiered [`RowAccum`] instead of the comparator-tree replay:
+    /// scattering the batch in queue order folds every coordinate's values
+    /// in the merge's own source order, and a scaled view stores or adds
+    /// the same `v * aval` its materialized copy would hold, so each pass's
+    /// result — and with it the nested fold across passes — is
+    /// bit-identical to [`flexagon_sparse::merge::merge_accumulate`] over
+    /// the pass's materialized sources, while
+    /// [`MergerReductionNetwork::charge_merge`] charges that merge's counts.
     pub(crate) fn merge_row_fibers(&mut self, sources: Vec<Psum>) -> (Fiber, Cycle) {
         let b = self.b;
         let mut queue: VecDeque<Psum> = sources.into_iter().filter(|p| p.len(b) > 0).collect();
@@ -542,7 +541,7 @@ impl<'a> Engine<'a> {
                 hi = hi.max(coords[coords.len() - 1]);
                 total += coords.len() as u64;
             }
-            acc.begin(lo, hi, total, &self.cfg.engine.accum);
+            acc.begin(lo, hi, total, &AccumConfig::default());
             for p in &batch {
                 match p {
                     Psum::Scaled(k, aval) => acc.scatter_scaled(b.fiber(*k), *aval),
@@ -572,9 +571,9 @@ impl<'a> Engine<'a> {
     /// Charges the timing and counter model of one row-merge exactly as
     /// [`Engine::merge_row_fibers`] would for `nonempty` non-empty psum
     /// fibers totalling `inputs` elements that merge down to `out_len`
-    /// distinct coordinates — used by the accumulator paths, which already
-    /// hold the merged fiber and never fan more than one MRN pass
-    /// (`nonempty` is bounded by the tree radix).
+    /// distinct coordinates — used by the Outer-Product merging phase,
+    /// which already holds each tile's merged partial and never fans more
+    /// than one MRN pass (`nonempty` is bounded by the tree radix).
     ///
     /// Zero or one input fiber passes through untouched (no tree pass, no
     /// comparisons); two or more charge a single merge pass.

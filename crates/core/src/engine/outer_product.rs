@@ -27,7 +27,7 @@
 
 use super::{tiling, Engine, Psum};
 use flexagon_sim::{bottleneck, Phase};
-use flexagon_sparse::{Fiber, RowAccum, Value, ELEMENT_BYTES};
+use flexagon_sparse::{AccumConfig, Fiber, RowAccum, Value, ELEMENT_BYTES};
 
 /// `elements` carries this band's pre-bucketed `(k, row, value)` triples
 /// when the execution is multi-band (one bucketing pass at the execute
@@ -98,7 +98,7 @@ pub(super) fn run(e: &mut Engine<'_>, elements: Option<&[(u32, u32, Value)]>) {
                 if pool.len() == armed {
                     pool.push(RowAccum::new());
                 }
-                pool[armed].begin(lo, hi, nnz, &e.cfg.engine.accum);
+                pool[armed].begin(lo, hi, nnz, &AccumConfig::default());
                 accum_of[(run[0].0 - base) as usize] = armed as u32;
                 armed += 1;
             }

@@ -92,7 +92,9 @@ impl RowPlan {
 ///
 /// Chunks of one row are emitted in order and never share a tile with a
 /// later chunk of the same row (a full-width chunk fills a tile by itself).
-/// Empty rows occupy no slots.
+/// A split row's chunks therefore sit in consecutive tiles, and no split
+/// row starts before the previous one's last chunk. Empty rows occupy no
+/// slots.
 pub(crate) fn plan_rows(a: MatrixView<'_>, slots: u32, band: Range<u32>, out: &mut RowPlan) {
     let slots = slots as usize;
     out.clusters.clear();
@@ -294,10 +296,11 @@ mod tests {
         plan
     }
 
-    /// Asserts the plan shape the Inner-Product split-row accumulator
-    /// relies on: a tile holds at most one chunk of a split row, a split
-    /// row's chunks sit in consecutive tiles, and every chunk but the last
-    /// fills its tile. Returns the number of split rows.
+    /// Asserts the plan shape the Inner-Product split-row accumulator and
+    /// Gustavson's single in-flight split row rely on: a tile holds at most
+    /// one chunk of a split row, a split row's chunks sit in consecutive
+    /// tiles, and every chunk but the last fills its tile. Returns the
+    /// number of split rows.
     fn assert_split_rows_contiguous(plan: &RowPlan, slots: u32) -> usize {
         // (row, next chunk) of the split row whose chunks are still coming.
         let mut open: Option<(u32, u32)> = None;

@@ -1,10 +1,10 @@
 //! Per-model workload statistics — the measured columns of Table 2.
 
 use crate::DnnModel;
-use flexagon_sparse::stats::MatrixStats;
+use flexagon_sparse::CompressedMatrix;
 use serde::Serialize;
 
-/// One Table 2 row computed over a materialized model.
+/// One Table 2 row: a model's layer count, sparsities and compressed sizes.
 #[derive(Debug, Clone, Serialize)]
 pub struct ModelStats {
     /// Model short code ("A", "V", ...).
@@ -33,18 +33,43 @@ impl ModelStats {
     /// Materializes every layer of `model` with `seed` and aggregates the
     /// Table 2 statistics.
     pub fn measure(model: &DnnModel, seed: u64) -> Self {
+        let nnz: Vec<(u64, u64)> = model
+            .layers
+            .iter()
+            .map(|layer| {
+                let mats = layer.materialize(seed);
+                (mats.a.nnz() as u64, mats.b.nnz() as u64)
+            })
+            .collect();
+        Self::from_counts(model, &nnz)
+    }
+
+    /// Aggregates the Table 2 statistics from each layer's
+    /// `(nnz(A), nnz(B))`, in layer order. A layer's sparsities and
+    /// compressed sizes depend only on its dimensions and these counts, so
+    /// the result equals [`ModelStats::measure`]'s bit for bit without
+    /// materializing a matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nnz` does not hold one entry per layer.
+    pub fn from_counts(model: &DnnModel, nnz: &[(u64, u64)]) -> Self {
+        assert_eq!(
+            nnz.len(),
+            model.layers.len(),
+            "one (nnz(A), nnz(B)) pair per layer"
+        );
+        let mib = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
         let mut sp_a = 0.0;
         let mut sp_b = 0.0;
         let mut cs_a = Vec::with_capacity(model.layers.len());
         let mut cs_b = Vec::with_capacity(model.layers.len());
-        for layer in &model.layers {
-            let mats = layer.materialize(seed);
-            let sa = MatrixStats::of(&mats.a);
-            let sb = MatrixStats::of(&mats.b);
-            sp_a += sa.sparsity_percent;
-            sp_b += sb.sparsity_percent;
-            cs_a.push(sa.compressed_mib());
-            cs_b.push(sb.compressed_mib());
+        for (layer, &(nnz_a, nnz_b)) in model.layers.iter().zip(nnz) {
+            // A is M x K and B is K x N, both row-major.
+            sp_a += CompressedMatrix::sparsity_percent_of(layer.m, layer.k, nnz_a);
+            sp_b += CompressedMatrix::sparsity_percent_of(layer.k, layer.n, nnz_b);
+            cs_a.push(mib(CompressedMatrix::compressed_size_of(layer.m, nnz_a)));
+            cs_b.push(mib(CompressedMatrix::compressed_size_of(layer.k, nnz_b)));
         }
         let n = model.layers.len() as f64;
         let minmax = |v: &[f64]| {
@@ -166,6 +191,7 @@ impl AgreementStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flexagon_sparse::stats::MatrixStats;
 
     #[test]
     fn alexnet_stats_are_sane() {
@@ -179,6 +205,26 @@ mod tests {
         assert!(stats.min_cs_a_mib <= stats.avg_cs_a_mib);
         assert!(stats.avg_cs_a_mib <= stats.max_cs_a_mib);
         assert!(stats.max_cs_b_mib > 0.0);
+    }
+
+    #[test]
+    fn counts_give_the_materialized_statistics() {
+        let model = DnnModel::alexnet();
+        let stats = ModelStats::measure(&model, 1);
+        let (mut sp_a, mut sp_b, mut cs_a, mut cs_b) = (0.0, 0.0, 0.0, 0.0);
+        for layer in &model.layers {
+            let mats = layer.materialize(1);
+            let (a, b) = (MatrixStats::of(&mats.a), MatrixStats::of(&mats.b));
+            sp_a += a.sparsity_percent;
+            sp_b += b.sparsity_percent;
+            cs_a += a.compressed_mib();
+            cs_b += b.compressed_mib();
+        }
+        let n = model.layers.len() as f64;
+        assert_eq!(stats.avg_sp_a.to_bits(), (sp_a / n).to_bits());
+        assert_eq!(stats.avg_sp_b.to_bits(), (sp_b / n).to_bits());
+        assert_eq!(stats.avg_cs_a_mib.to_bits(), (cs_a / n).to_bits());
+        assert_eq!(stats.avg_cs_b_mib.to_bits(), (cs_b / n).to_bits());
     }
 
     #[test]

@@ -20,9 +20,16 @@
 //! the GAMMA-like one). A write looks its chain up once and takes fresh
 //! blocks in bulk between spill points; overflow lengths stay keyed by
 //! `(row, k)` until their fiber is consumed.
+//!
+//! A chain is either a *data* chain, whose blocks hold the psum elements,
+//! or a *ghost* chain, which models the same occupancy and traffic and
+//! stores nothing. The engine writes only ghost chains and keeps the psums
+//! it buffers in its own accumulators. Data chains
+//! ([`Psram::partial_write_fiber`], [`Psram::consume_fiber`]) are the
+//! reference the tests hold the ghost accounting against.
 
 use crate::Dram;
-use flexagon_sparse::{Element, Fiber, FiberView, ELEMENT_BYTES};
+use flexagon_sparse::{Element, Fiber, ELEMENT_BYTES};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -111,9 +118,9 @@ impl Chain {
     }
 }
 
-/// Struct-of-arrays element storage for one block or spill buffer: block
-/// writes are a coordinate memcpy plus a scaled value map, and consuming a
-/// chain appends straight into a [`Fiber`] with no per-element conversion.
+/// Struct-of-arrays element storage for one block or spill buffer:
+/// consuming a chain appends straight into a [`Fiber`] with no
+/// per-element conversion.
 #[derive(Debug, Clone, Default)]
 struct SoaBuf {
     coords: Vec<u32>,
@@ -125,15 +132,10 @@ impl SoaBuf {
         self.coords.len()
     }
 
-    /// Appends `take` elements of `fiber` starting at `off`, scaling values.
-    fn append_scaled(&mut self, fiber: FiberView<'_>, off: usize, take: usize, factor: f32) {
-        let span = fiber.slice(off, take);
-        self.coords.extend_from_slice(span.coords());
-        if factor == 1.0 {
-            self.values.extend_from_slice(span.values());
-        } else {
-            self.values.extend(span.values().iter().map(|v| v * factor));
-        }
+    /// Appends `elems`.
+    fn push_elements(&mut self, elems: &[Element]) {
+        self.coords.extend(elems.iter().map(|e| e.coord));
+        self.values.extend(elems.iter().map(|e| e.value));
     }
 
     /// Drains `other`, appending its contents here.
@@ -176,8 +178,10 @@ impl Set {
 
 /// Way-combining partial-sum SRAM.
 ///
-/// Functionally exact: it stores the real psum elements, so the merging
-/// phase that consumes it produces the real output matrix.
+/// Ghost writes ([`Psram::ghost_write`], [`Psram::ghost_consume`]) model
+/// the block allocation, spills and traffic of psum fibers whose elements
+/// the caller keeps; data writes store the elements themselves with the
+/// same accounting.
 #[derive(Debug, Clone)]
 pub struct Psram {
     cfg: PsramConfig,
@@ -230,73 +234,23 @@ impl Psram {
     /// last block; otherwise the first free block is allocated. When the
     /// set is exhausted, the largest resident fiber is spilled to DRAM.
     pub fn partial_write(&mut self, row: u32, k: u32, e: Element, dram: &mut Dram) {
-        let coords = [e.coord];
-        let values = [e.value];
-        self.partial_write_fiber_view(row, k, FiberView::from_parts(&coords, &values), dram);
+        self.partial_write_fiber(row, k, &[e], dram);
     }
 
-    /// Appends a whole run of elements for `(row, k)`.
-    ///
-    /// Equivalent to repeated `PartialWrite`s; the bulk form exists because
-    /// the Outer-Product streaming phase emits an entire scaled B fiber per
-    /// stationary element.
+    /// Appends a whole run of elements for `(row, k)`, with exactly the
+    /// accounting of repeated `PartialWrite`s.
     pub fn partial_write_fiber(&mut self, row: u32, k: u32, elems: &[Element], dram: &mut Dram) {
-        // Allocation-free conversion: split the slice into stack-buffered
-        // chunks; sequential chunk writes to the same `(row, k)` append
-        // through the normal tail-block path.
-        const CHUNK: usize = 64;
-        let mut coords = [0u32; CHUNK];
-        let mut values = [0.0f32; CHUNK];
-        for chunk in elems.chunks(CHUNK) {
-            for (i, e) in chunk.iter().enumerate() {
-                coords[i] = e.coord;
-                values[i] = e.value;
-            }
-            self.partial_write_fiber_view(
-                row,
-                k,
-                FiberView::from_parts(&coords[..chunk.len()], &values[..chunk.len()]),
-                dram,
-            );
-        }
-    }
-
-    /// Appends a whole fiber view for `(row, k)` — the zero-copy form the
-    /// engine uses: elements stream straight from the operand (or a scaled
-    /// scratch fiber) into the blocks, with no intermediate vector.
-    pub fn partial_write_fiber_view(
-        &mut self,
-        row: u32,
-        k: u32,
-        fiber: FiberView<'_>,
-        dram: &mut Dram,
-    ) {
-        self.partial_write_scaled(row, k, fiber, 1.0, dram);
-    }
-
-    /// Appends `fiber` with every value multiplied by `factor` — the fused
-    /// multiplier-to-PSRAM path of the Outer-Product streaming phase (one
-    /// stationary scalar times a streaming fiber, §3.2.2), saving the
-    /// intermediate scaled copy entirely.
-    pub fn partial_write_scaled(
-        &mut self,
-        row: u32,
-        k: u32,
-        fiber: FiberView<'_>,
-        factor: f32,
-        dram: &mut Dram,
-    ) {
-        self.append(row, k, fiber.len(), false, dram, |block, off, take| {
-            block.append_scaled(fiber, off, take, factor)
+        self.append(row, k, elems.len(), false, dram, |block, off, take| {
+            block.push_elements(&elems[off..off + take]);
         });
     }
 
     /// `PartialWrite` of `len` elements for `(row, k)` in ghost mode: the
     /// chain's block allocation, spill pressure, and read/write traffic are
-    /// modeled exactly as [`Psram::partial_write_scaled`] would for a fiber
-    /// of the same length, but no element data is stored — the engine's
-    /// accumulator paths keep the actual psums elsewhere and retrieve the
-    /// traffic with [`Psram::ghost_consume`].
+    /// modeled exactly as [`Psram::partial_write_fiber`] would for a fiber
+    /// of the same length, but no element data is stored — the engine
+    /// keeps the actual psums elsewhere and retrieves the traffic with
+    /// [`Psram::ghost_consume`].
     pub fn ghost_write(&mut self, row: u32, k: u32, len: usize, dram: &mut Dram) {
         self.append(row, k, len, true, dram, |_, _, _| {});
     }
@@ -468,46 +422,6 @@ impl Psram {
         total
     }
 
-    /// Sorted list of k tags with data (on-chip or spilled) for `row`.
-    pub fn fiber_tags_of_row(&self, row: u32) -> Vec<u32> {
-        let set_idx = self.set_index(row);
-        let mut ks: Vec<u32> = self.sets[set_idx]
-            .chains
-            .iter()
-            .filter(|c| c.key.0 == row)
-            .map(|c| c.key.1)
-            .chain(
-                self.spilled
-                    .keys()
-                    .filter(|&&(r, _)| r == row)
-                    .map(|&(_, k)| k),
-            )
-            .chain(
-                self.spilled_ghost
-                    .keys()
-                    .filter(|&&(r, _)| r == row)
-                    .map(|&(_, k)| k),
-            )
-            .collect();
-        ks.sort_unstable();
-        ks.dedup();
-        ks
-    }
-
-    /// All rows currently holding data.
-    pub fn rows_with_data(&self) -> Vec<u32> {
-        let mut rows: Vec<u32> = self
-            .sets
-            .iter()
-            .flat_map(|s| s.chains.iter().map(|c| c.key.0))
-            .chain(self.spilled.keys().map(|&(r, _)| r))
-            .chain(self.spilled_ghost.keys().map(|&(r, _)| r))
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
-    }
-
     /// Returns `true` when no psums are buffered anywhere.
     pub fn is_empty(&self) -> bool {
         self.usage.live_blocks == 0 && self.spilled.is_empty() && self.spilled_ghost.is_empty()
@@ -618,7 +532,7 @@ mod tests {
         let mut dram = Dram::with_defaults();
         p.partial_write(0, 0, e(2, 1.0), &mut dram);
         p.partial_write(0, 7, e(1, 9.0), &mut dram);
-        assert_eq!(p.fiber_tags_of_row(0), vec![0, 7]);
+        assert_eq!(p.usage().live_blocks, 2);
         assert_eq!(
             p.consume_fiber(0, 7, &mut dram).into_inner(),
             vec![e(1, 9.0)]
@@ -636,7 +550,6 @@ mod tests {
         p.partial_write(0, 0, e(0, 1.0), &mut dram); // set 0
         p.partial_write(1, 0, e(0, 2.0), &mut dram); // set 1
         p.partial_write(2, 0, e(0, 3.0), &mut dram); // set 0 again
-        assert_eq!(p.rows_with_data(), vec![0, 1, 2]);
         assert_eq!(
             p.consume_fiber(2, 0, &mut dram).into_inner(),
             vec![e(0, 3.0)]
@@ -645,6 +558,11 @@ mod tests {
             p.consume_fiber(0, 0, &mut dram).into_inner(),
             vec![e(0, 1.0)]
         );
+        assert_eq!(
+            p.consume_fiber(1, 0, &mut dram).into_inner(),
+            vec![e(0, 2.0)]
+        );
+        assert!(p.is_empty());
     }
 
     #[test]
@@ -751,14 +669,14 @@ mod tests {
         assert!(data.usage().spilled_elements > 0, "the schedule must spill");
         assert_eq!(data.written_elements(), ghost.written_elements());
         same_dram(&data_dram, &ghost_dram);
-        assert_eq!(data.rows_with_data(), ghost.rows_with_data());
-        for row in data.rows_with_data() {
-            assert_eq!(data.fiber_tags_of_row(row), ghost.fiber_tags_of_row(row));
-            for k in data.fiber_tags_of_row(row) {
-                let fiber = data.consume_fiber(row, k, &mut data_dram);
-                let len = ghost.ghost_consume(row, k, &mut ghost_dram);
-                assert_eq!(fiber.len() as u64, len, "row {row} k {k}");
-            }
+        // Consume every written fiber, in `(row, k)` order.
+        let mut keys: Vec<(u32, u32)> = next_coord.keys().copied().collect();
+        keys.sort_unstable();
+        for (row, k) in keys {
+            let fiber = data.consume_fiber(row, k, &mut data_dram);
+            let len = ghost.ghost_consume(row, k, &mut ghost_dram);
+            assert_eq!(fiber.len() as u64, len, "row {row} k {k}");
+            assert_eq!(len, u64::from(next_coord[&(row, k)]), "row {row} k {k}");
         }
         assert_eq!(data.usage(), ghost.usage());
         assert_eq!(data.read_elements(), ghost.read_elements());

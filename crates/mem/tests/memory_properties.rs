@@ -90,14 +90,13 @@ proptest! {
                 "diverged after writing {} elements to ({}, {})", len, row, k
             );
         }
-        prop_assert_eq!(data.rows_with_data(), ghost.rows_with_data());
-        for row in data.rows_with_data() {
-            prop_assert_eq!(data.fiber_tags_of_row(row), ghost.fiber_tags_of_row(row));
-            for k in data.fiber_tags_of_row(row) {
-                let fiber = data.consume_fiber(row, k, &mut data_dram);
-                let len = ghost.ghost_consume(row, k, &mut ghost_dram);
-                prop_assert_eq!(fiber.len() as u64, len, "fiber ({}, {})", row, k);
-            }
+        // Consume every written fiber, in `(row, k)` order.
+        let mut keys: Vec<(u32, u32)> = next_coord.keys().copied().collect();
+        keys.sort_unstable();
+        for (row, k) in keys {
+            let fiber = data.consume_fiber(row, k, &mut data_dram);
+            let len = ghost.ghost_consume(row, k, &mut ghost_dram);
+            prop_assert_eq!(fiber.len() as u64, len, "fiber ({}, {})", row, k);
         }
         prop_assert!(same(&data, &ghost, &data_dram, &ghost_dram), "diverged after consuming");
         prop_assert!(data.is_empty() && ghost.is_empty());
@@ -112,7 +111,7 @@ proptest! {
         let mut psram = Psram::with_defaults();
         let mut dram = Dram::with_defaults();
         let mut total = 0u64;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (row, k, len) in fibers {
             if !seen.insert((row, k)) {
                 continue; // one write burst per fiber keeps coords sorted
@@ -123,11 +122,10 @@ proptest! {
             total += len as u64;
         }
         prop_assert_eq!(psram.written_elements(), total);
-        for row in psram.rows_with_data() {
-            for k in psram.fiber_tags_of_row(row) {
-                psram.consume_fiber(row, k, &mut dram);
-            }
+        for &(row, k) in &seen {
+            psram.consume_fiber(row, k, &mut dram);
         }
+        prop_assert!(psram.is_empty());
         // On-chip reads + spilled reloads cover every element exactly once.
         let spilled = psram.usage().spilled_elements;
         prop_assert_eq!(psram.read_elements() + spilled, total);

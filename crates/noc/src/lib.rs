@@ -10,9 +10,9 @@
 //!   reduction (Inner Product) and merging (Outer Product / Gustavson's)
 //!   operations on the same substrate.
 //!
-//! All networks are functionally exact (they move real elements) and charge
-//! cycles with the pipelined-tree model: fill latency = tree depth, then
-//! bandwidth-limited streaming.
+//! The networks count and time the elements they move; the engine computes
+//! the values themselves. Cycles follow the pipelined-tree model: fill
+//! latency = tree depth, then bandwidth-limited streaming.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -22,5 +22,5 @@ mod mrn;
 mod multiplier;
 
 pub use distribution::{CastKind, DistributionNetwork, DnConfig};
-pub use mrn::{MergeOutcome, MergerReductionNetwork, MrnConfig};
+pub use mrn::{MergerReductionNetwork, MrnConfig};
 pub use multiplier::{MnConfig, MultiplierMode, MultiplierNetwork};

@@ -14,7 +14,6 @@
 //! plus bandwidth-limited streaming of the input volume.
 
 use flexagon_sim::{Bandwidth, Cycle};
-use flexagon_sparse::{merge, Fiber, FiberView};
 use serde::{Deserialize, Serialize};
 
 /// Geometry and bandwidth of a reduction/merger tree.
@@ -53,19 +52,6 @@ impl MrnConfig {
     pub fn nodes(&self) -> u32 {
         self.leaves - 1
     }
-}
-
-/// Result of one merge pass through a tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergeOutcome {
-    /// The merged, coordinate-sorted fiber.
-    pub fiber: Fiber,
-    /// Cycles the pass occupied the tree.
-    pub cycles: Cycle,
-    /// Coordinate comparisons performed.
-    pub comparisons: u64,
-    /// Value additions performed (coordinate collisions).
-    pub additions: u64,
 }
 
 /// The unified Merger-Reduction Network of Flexagon.
@@ -110,49 +96,17 @@ impl MergerReductionNetwork {
         self.cfg.depth() as Cycle
     }
 
-    /// Merges up to `leaves` coordinate-sorted fibers in one pass
-    /// (comparator/compare-and-add mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `leaves` fibers are supplied; the engine is
-    /// responsible for splitting larger merges into multiple passes.
-    pub fn merge_fibers(&mut self, fibers: &[FiberView<'_>]) -> MergeOutcome {
-        assert!(
-            fibers.len() <= self.cfg.leaves as usize,
-            "a single pass can merge at most {} fibers, got {}",
-            self.cfg.leaves,
-            fibers.len()
-        );
-        let input_volume = merge::input_volume(fibers) as u64;
-        let (fiber, stats) = merge::merge_accumulate(fibers);
-        let cycles = if input_volume == 0 {
-            0
-        } else {
-            self.cfg.depth() as Cycle + self.cfg.bandwidth.cycles(input_volume)
-        };
-        self.additions += stats.additions;
-        self.comparisons += stats.comparisons;
-        self.merged_in_elements += input_volume;
-        MergeOutcome {
-            fiber,
-            cycles,
-            comparisons: stats.comparisons,
-            additions: stats.additions,
-        }
-    }
-
     /// Charges the cycle and counter model of one merge pass whose merged
-    /// fiber the caller produced elsewhere (a [`flexagon_sparse::RowAccum`]
-    /// scatter): `input_elements` total elements entered, `output_len`
-    /// distinct coordinates left.
+    /// fiber the caller produced (the engine scatters it into a `RowAccum`):
+    /// `input_elements` total elements entered, `output_len` distinct
+    /// coordinates left.
     ///
-    /// The counter arithmetic is exactly
-    /// [`MergerReductionNetwork::merge_fibers`]'s — one comparison per
-    /// element popped, one addition per coordinate collision
-    /// (`input - output`), depth + bandwidth-limited streaming for the
-    /// cycles — so an engine that materializes the merged fiber elsewhere
-    /// keeps reports bit-identical.
+    /// The counts are those of the software k-way merge,
+    /// `flexagon_sparse::merge::merge_accumulate`, over the same fibers:
+    /// one comparison per element popped and one addition per coordinate
+    /// collision (`input - output`). The cycles are the tree depth plus
+    /// bandwidth-limited streaming of the input, and an empty pass is
+    /// free.
     pub fn charge_merge(&mut self, input_elements: u64, output_len: u64) -> Cycle {
         debug_assert!(output_len <= input_elements, "merge cannot grow output");
         self.comparisons += input_elements;
@@ -210,7 +164,7 @@ impl Default for MergerReductionNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexagon_sparse::Element;
+    use flexagon_sparse::{merge, Element, Fiber};
 
     fn fiber(pairs: &[(u32, f32)]) -> Fiber {
         Fiber::from_sorted(pairs.iter().map(|&(c, v)| Element::new(c, v)).collect())
@@ -236,59 +190,31 @@ mod tests {
     }
 
     #[test]
-    fn merge_functional_result_is_kway_merge() {
-        let mut mrn = MergerReductionNetwork::with_defaults();
-        let a = fiber(&[(0, 1.0), (3, 1.0)]);
-        let b = fiber(&[(3, 2.0), (7, 1.0)]);
-        let out = mrn.merge_fibers(&[a.as_view(), b.as_view()]);
-        assert_eq!(out.fiber.get(3), Some(3.0));
-        assert_eq!(out.fiber.len(), 3);
-        assert_eq!(out.additions, 1);
-    }
-
-    #[test]
     fn merge_cycles_are_depth_plus_stream() {
         let mut mrn = MergerReductionNetwork::with_defaults();
         // 32 input elements at 16/cycle + 6 depth = 8 cycles.
-        let a = fiber(&(0..16).map(|i| (i, 1.0)).collect::<Vec<_>>());
-        let b = fiber(&(16..32).map(|i| (i, 1.0)).collect::<Vec<_>>());
-        let out = mrn.merge_fibers(&[a.as_view(), b.as_view()]);
-        assert_eq!(out.cycles, 6 + 2);
+        assert_eq!(mrn.charge_merge(32, 32), 6 + 2);
     }
 
     #[test]
     fn charge_merge_matches_real_merge() {
         let a = fiber(&[(0, 1.0), (3, 1.0), (9, 1.0)]);
         let b = fiber(&[(3, 2.0), (7, 1.0)]);
-        let mut real = MergerReductionNetwork::with_defaults();
-        let out = real.merge_fibers(&[a.as_view(), b.as_view()]);
+        let (out, stats) = merge::merge_accumulate(&[a.as_view(), b.as_view()]);
         let mut charged = MergerReductionNetwork::with_defaults();
-        let cycles = charged.charge_merge(5, out.fiber.len() as u64);
-        assert_eq!(cycles, out.cycles);
-        assert_eq!(charged.additions(), real.additions());
-        assert_eq!(charged.comparisons(), real.comparisons());
-        assert_eq!(
-            charged.merged_input_elements(),
-            real.merged_input_elements()
-        );
-        assert_eq!(charged.charge_merge(0, 0), 0, "empty pass is free");
+        let cycles = charged.charge_merge(5, out.len() as u64);
+        assert_eq!(cycles, 6 + 1);
+        assert_eq!(charged.additions(), stats.additions);
+        assert_eq!(charged.comparisons(), stats.comparisons);
+        assert_eq!(charged.merged_input_elements(), 5);
     }
 
     #[test]
     fn merge_empty_is_free() {
         let mut mrn = MergerReductionNetwork::with_defaults();
-        let out = mrn.merge_fibers(&[]);
-        assert!(out.fiber.is_empty());
-        assert_eq!(out.cycles, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64 fibers")]
-    fn merge_radix_enforced() {
-        let mut mrn = MergerReductionNetwork::with_defaults();
-        let f = fiber(&[(0, 1.0)]);
-        let views: Vec<_> = std::iter::repeat_n(f.as_view(), 65).collect();
-        mrn.merge_fibers(&views);
+        assert_eq!(mrn.charge_merge(0, 0), 0);
+        assert_eq!(mrn.comparisons(), 0);
+        assert_eq!(mrn.additions(), 0);
     }
 
     #[test]
@@ -316,11 +242,10 @@ mod tests {
     fn counters_accumulate_across_modes() {
         let mut mrn = MergerReductionNetwork::with_defaults();
         mrn.reduce(10, 1);
-        let a = fiber(&[(0, 1.0)]);
-        let b = fiber(&[(0, 1.0)]);
-        mrn.merge_fibers(&[a.as_view(), b.as_view()]);
+        // Two one-element fibers on the same coordinate merge into one.
+        mrn.charge_merge(2, 1);
         assert_eq!(mrn.additions(), 9 + 1);
-        assert!(mrn.comparisons() >= 1);
+        assert_eq!(mrn.comparisons(), 2);
         assert_eq!(mrn.merged_input_elements(), 2);
     }
 

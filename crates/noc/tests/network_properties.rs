@@ -18,32 +18,36 @@ fn fibers_strategy() -> impl Strategy<Value = Vec<Fiber>> {
 }
 
 proptest! {
-    /// The MRN's merge equals the software k-way merge for any fiber set
-    /// within radix.
+    /// The MRN's merge model charges exactly the software k-way merge's
+    /// counts for any fiber set: its comparisons and additions, and the
+    /// pass cycles the tree takes for that input volume.
     #[test]
     fn mrn_merge_is_kway_merge(fibers in fibers_strategy()) {
-        let mut mrn = MergerReductionNetwork::with_defaults();
         let views: Vec<_> = fibers.iter().map(Fiber::as_view).collect();
-        let hw = mrn.merge_fibers(&views);
         let (sw, sw_stats) = merge::merge_accumulate(&views);
-        prop_assert_eq!(hw.fiber, sw);
-        prop_assert_eq!(hw.additions, sw_stats.additions);
+        let volume: u64 = views.iter().map(|v| v.len() as u64).sum();
+        let mut mrn = MergerReductionNetwork::with_defaults();
+        let cycles = mrn.charge_merge(volume, sw.len() as u64);
+        prop_assert_eq!(mrn.comparisons(), sw_stats.comparisons);
+        prop_assert_eq!(mrn.additions(), sw_stats.additions);
+        prop_assert_eq!(mrn.merged_input_elements(), volume);
+        let want = if volume == 0 { 0 } else { 6 + volume.div_ceil(16) };
+        prop_assert_eq!(cycles, want);
     }
 
     /// Merge cycles are monotone in input volume and zero only for empty
-    /// inputs.
+    /// inputs, whatever the output length.
     #[test]
-    fn merge_cycles_monotone(fibers in fibers_strategy()) {
+    fn merge_cycles_monotone(volume in 0u64..10_000, collisions in 0u64..10_000) {
         let mut mrn = MergerReductionNetwork::with_defaults();
-        let views: Vec<_> = fibers.iter().map(Fiber::as_view).collect();
-        let volume: usize = views.iter().map(|v| v.len()).sum();
-        let out = mrn.merge_fibers(&views);
+        let cycles = mrn.charge_merge(volume, volume.saturating_sub(collisions));
         if volume == 0 {
-            prop_assert_eq!(out.cycles, 0);
+            prop_assert_eq!(cycles, 0);
         } else {
             // depth + ceil(volume / bandwidth)
-            let want = 6 + (volume as u64).div_ceil(16);
-            prop_assert_eq!(out.cycles, want);
+            prop_assert_eq!(cycles, 6 + volume.div_ceil(16));
+            let more = mrn.charge_merge(volume + 1, volume + 1);
+            prop_assert!(more >= cycles);
         }
     }
 

@@ -34,8 +34,9 @@
 use crate::{merge, Fiber, FiberView, Value};
 use serde::{Deserialize, Serialize};
 
-/// Tier-selection thresholds for [`RowAccum`], exposed so the engine's
-/// calibration can tune them without code edits.
+/// Tier-selection thresholds for [`RowAccum`]. The engine always arms
+/// its accumulators with [`AccumConfig::default`]; the fields stay settable
+/// so benchmarks and tests can force a tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AccumConfig {
     /// Dense tier when `span <= nnz_hint * dense_span_per_elem`: each
@@ -135,12 +136,11 @@ const NO_PAGE: u32 = u32::MAX;
 
 /// A reusable per-row psum accumulator.
 ///
-/// Lifecycle: [`RowAccum::begin`] (or [`RowAccum::begin_runs`]) arms the
-/// accumulator for one output row, [`RowAccum::scatter_scaled`] /
-/// [`RowAccum::push_run`] feed it sorted fibers in merge-source order, and
-/// [`RowAccum::drain`] returns the merged fiber and resets the accumulator
-/// for reuse — all buffers (value array, bitmap, pages, run list) keep
-/// their allocations across rows.
+/// Lifecycle: [`RowAccum::begin`] arms the accumulator for one output row,
+/// [`RowAccum::scatter_scaled`] / [`RowAccum::scatter`] feed it sorted
+/// fibers in merge-source order, and [`RowAccum::drain`] returns the merged
+/// fiber and resets the accumulator for reuse — all buffers (value array,
+/// bitmap, pages, run list) keep their allocations across rows.
 ///
 /// ```
 /// use flexagon_sparse::{AccumConfig, Element, Fiber, RowAccum};
@@ -236,14 +236,6 @@ impl RowAccum {
         self.tier = Some(tier);
     }
 
-    /// Arms the accumulator as a plain sorted-run collector — the form the
-    /// engine uses to hold a split row's chunk fibers across tiles.
-    pub fn begin_runs(&mut self, cfg: &AccumConfig) {
-        debug_assert!(self.is_drained(), "begin on an undrained accumulator");
-        self.runs_limit = cfg.runs_merge_limit.max(2);
-        self.tier = Some(AccumTier::Runs);
-    }
-
     /// Whether the accumulator holds no undrained data.
     pub fn is_drained(&self) -> bool {
         self.distinct == 0 && self.runs.is_empty()
@@ -320,26 +312,6 @@ impl RowAccum {
                 self.collapse_if_full();
             }
         }
-    }
-
-    /// Appends an owned, coordinate-sorted fiber as the next merge source
-    /// (runs tier only) — the zero-copy form for fibers the caller already
-    /// materialized, such as a split row's per-chunk psum fibers.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the accumulator is not armed as runs.
-    pub fn push_run(&mut self, fiber: Fiber) {
-        debug_assert_eq!(
-            self.tier,
-            Some(AccumTier::Runs),
-            "push_run needs the runs tier"
-        );
-        if fiber.is_empty() {
-            return;
-        }
-        self.runs.push(fiber);
-        self.collapse_if_full();
     }
 
     /// Collapses the run list into one run when it hits the limit. A prefix
@@ -540,7 +512,9 @@ mod tests {
             ..AccumConfig::default()
         };
         let mut acc = RowAccum::new();
-        acc.begin_runs(&tiny_limit);
+        // A span far wider than the psums it expects selects the runs tier.
+        acc.begin(0, 1 << 30, 27, &tiny_limit);
+        assert_eq!(acc.tier(), Some(AccumTier::Runs));
         for (fb, s) in &sources {
             acc.scatter_scaled(fb.as_view(), *s);
         }
@@ -577,18 +551,6 @@ mod tests {
             }
             assert_eq!(acc.drain(), reference(fibers));
         }
-    }
-
-    #[test]
-    fn push_run_collects_owned_fibers() {
-        let mut acc = RowAccum::new();
-        acc.begin_runs(&AccumConfig::default());
-        acc.push_run(f(&[(1, 1.0), (5, 2.0)]));
-        acc.push_run(Fiber::new()); // ignored
-        acc.push_run(f(&[(5, 3.0)]));
-        let got = acc.drain();
-        assert_eq!(got.get(5), Some(5.0));
-        assert_eq!(got.len(), 2);
     }
 
     #[test]

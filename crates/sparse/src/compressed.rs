@@ -139,6 +139,14 @@ fn apply_transpose_plan(
     (coords, values)
 }
 
+/// `nnz / (rows * cols)`, and 0 for a matrix with no entries.
+fn density_of(rows: u32, cols: u32, nnz: u64) -> f64 {
+    if rows == 0 || cols == 0 {
+        return 0.0;
+    }
+    nnz as f64 / (f64::from(rows) * f64::from(cols))
+}
+
 impl Clone for CompressedMatrix {
     /// Clones the matrix data. The transpose plan is not carried over; it is
     /// rebuilt on the clone's first conversion.
@@ -456,15 +464,18 @@ impl CompressedMatrix {
 
     /// Fraction of stored entries, `nnz / (rows * cols)`.
     pub fn density(&self) -> f64 {
-        if self.rows == 0 || self.cols == 0 {
-            return 0.0;
-        }
-        self.nnz() as f64 / (self.rows as f64 * self.cols as f64)
+        density_of(self.rows, self.cols, self.nnz() as u64)
     }
 
     /// Sparsity as a percentage, `100 * (1 - density)` — the paper's metric.
     pub fn sparsity_percent(&self) -> f64 {
-        100.0 * (1.0 - self.density())
+        Self::sparsity_percent_of(self.rows, self.cols, self.nnz() as u64)
+    }
+
+    /// [`CompressedMatrix::sparsity_percent`] of a `rows x cols` matrix
+    /// holding `nnz` elements, for a caller that knows only the counts.
+    pub fn sparsity_percent_of(rows: u32, cols: u32, nnz: u64) -> f64 {
+        100.0 * (1.0 - density_of(rows, cols, nnz))
     }
 
     /// Zero-copy view of fiber `major`.

@@ -295,11 +295,6 @@ fn merge_loser_tree(fibers: &[FiberView<'_>]) -> (Fiber, MergeStats) {
     (Fiber::from_parts(coords, values), stats)
 }
 
-/// Total elements across a set of fibers (the merge's input volume).
-pub fn input_volume(fibers: &[FiberView<'_>]) -> usize {
-    fibers.iter().map(|f| f.len()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,12 +409,5 @@ mod tests {
         let (_, stats) = merge_accumulate(&[a.as_view(), b.as_view()]);
         assert_eq!(stats.comparisons, 4);
         assert_eq!(stats.additions, 1);
-    }
-
-    #[test]
-    fn input_volume_sums_lengths() {
-        let a = f(&[(0, 1.0)]);
-        let b = f(&[(0, 1.0), (1, 1.0)]);
-        assert_eq!(input_volume(&[a.as_view(), b.as_view()]), 3);
     }
 }

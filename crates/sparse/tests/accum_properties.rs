@@ -144,23 +144,6 @@ proptest! {
             assert_bit_identical(&got, &want);
         }
     }
-
-    /// `push_run` over owned chunk fibers (the Gustavson split-row path)
-    /// matches merging the chunks in arrival order.
-    #[test]
-    fn chunk_runs_match_merge(chunks in batch(1_000_000, 10, 30)) {
-        let cfg = AccumConfig::default();
-        let owned: Vec<Fiber> = chunks.iter().map(|(f, s)| f.scaled(*s)).collect();
-        let views: Vec<FiberView<'_>> = owned.iter().map(Fiber::as_view).collect();
-        let (want, _) = merge::merge_accumulate(&views);
-        let mut acc = RowAccum::new();
-        acc.begin_runs(&cfg);
-        for f in &owned {
-            acc.push_run(f.clone());
-        }
-        let got = acc.drain();
-        assert_bit_identical(&got, &want);
-    }
 }
 
 /// Dense drain with set bits in a partial tail word: the drain reads a full
