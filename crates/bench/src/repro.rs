@@ -22,7 +22,7 @@ use flexagon_sparse::CompressedMatrix;
 
 use crate::render::{geomean, kib, mib, pct, speedup, table};
 use crate::runner::{
-    run_layer, run_layers, LayerResults, ModelResults, RunOptions, SystemId, DEFAULT_SEED,
+    run_layer_on, run_layers, LayerResults, ModelResults, RunOptions, SystemId, DEFAULT_SEED,
 };
 
 /// The simulation passes the sections share, at [`DEFAULT_SEED`]. Each
@@ -30,7 +30,7 @@ use crate::runner::{
 #[derive(Debug, Default)]
 pub struct Inputs {
     suite: OnceCell<SuitePass>,
-    table6: OnceCell<Vec<(&'static str, LayerResults)>>,
+    table6: OnceCell<Table6Pass>,
 }
 
 /// What the suite pass keeps of every suite model, in suite order.
@@ -40,6 +40,15 @@ struct SuitePass {
     results: Vec<ModelResults>,
     /// The model's Table 2 statistics, from the same layers' operands.
     stats: Vec<ModelStats>,
+}
+
+/// What the Table 6 pass keeps of every Table 6 layer, in Table 6 order.
+#[derive(Debug)]
+struct Table6Pass {
+    /// The layer's id and its results under the default options.
+    results: Vec<(&'static str, LayerResults)>,
+    /// The calibrated heuristic's pick, from the same layer's operands.
+    heuristic: Vec<Dataflow>,
 }
 
 impl Inputs {
@@ -78,25 +87,37 @@ impl Inputs {
         &self.suite_pass().results
     }
 
-    /// [`run_layer`] of every Table 6 layer under the default options,
-    /// with its Table 6 id, in Table 6 order.
-    fn table6(&self) -> &[(&'static str, LayerResults)] {
+    /// [`run_layer_on`] of every Table 6 layer under the default options,
+    /// and the heuristic's pick from the same operands.
+    fn table6_pass(&self) -> &Table6Pass {
         self.table6.get_or_init(|| {
             let start = Instant::now();
-            let results: Vec<_> = table6::layers()
-                .into_iter()
-                .map(|layer| {
-                    let r = run_layer(&layer.spec, DEFAULT_SEED, &RunOptions::default());
-                    (layer.id, r)
-                })
-                .collect();
+            let cfg = AcceleratorConfig::table5();
+            let layers = table6::layers();
+            let mut pass = Table6Pass {
+                results: Vec::with_capacity(layers.len()),
+                heuristic: Vec::with_capacity(layers.len()),
+            };
+            for layer in layers {
+                let mats = layer.spec.materialize(DEFAULT_SEED);
+                let r = run_layer_on(&layer.spec, &mats, &RunOptions::default());
+                pass.results.push((layer.id, r));
+                pass.heuristic
+                    .push(mapper::heuristic(&cfg, &mats.a, &mats.b));
+            }
             eprintln!(
                 "table6 pass: {} layers {:.1} s",
-                results.len(),
+                pass.results.len(),
                 start.elapsed().as_secs_f64()
             );
-            results
+            pass
         })
+    }
+
+    /// Every Table 6 layer's results under the default options, with its
+    /// Table 6 id, in Table 6 order.
+    fn table6(&self) -> &[(&'static str, LayerResults)] {
+        &self.table6_pass().results
     }
 }
 
@@ -334,24 +355,36 @@ fn table4_transitions(_: &Inputs, out: &mut String) -> fmt::Result {
 /// Table 6: the nine representative DNN layers, their measured compressed
 /// sizes, and the calibrated heuristic mapper's feature-only pick for each
 /// (the accuracy audit proper — oracle comparison over the whole suite —
-/// is the `mapper_accuracy` binary). C's size comes from the Table 6 pass:
-/// a report's `wbuf.elements` counts every element of C once.
+/// is the `mapper_accuracy` binary). Everything comes from the Table 6
+/// pass: sparsities and sizes from a report's nonzero counts of A and B
+/// (both CSR) and its `wbuf.elements`, which counts every element of C
+/// once, and the heuristic's pick from the pass's operands.
 fn table6_layers(inputs: &Inputs, out: &mut String) -> fmt::Result {
     writeln!(out, "Table 6 — representative DNN layers (measured)\n")?;
-    let cfg = AcceleratorConfig::table5();
+    let pass = inputs.table6_pass();
     let mut rows = Vec::new();
-    for (layer, (_, results)) in table6::layers().into_iter().zip(inputs.table6()) {
-        let mats = layer.spec.materialize(DEFAULT_SEED);
+    for ((layer, (_, results)), predicted) in table6::layers()
+        .into_iter()
+        .zip(&pass.results)
+        .zip(&pass.heuristic)
+    {
+        let spec = &layer.spec;
+        let (nnz_a, nnz_b) = (results.cpu.work.nnz_a, results.cpu.work.nnz_b);
         let nnz_c = results.inner_product.counters.get("wbuf.elements");
-        let predicted = mapper::heuristic(&cfg, &mats.a, &mats.b);
         rows.push(vec![
             layer.id.to_string(),
-            format!("{}, {}, {}", layer.spec.m, layer.spec.n, layer.spec.k),
-            format!("{:.0}", mats.a.sparsity_percent()),
-            format!("{:.0}", mats.b.sparsity_percent()),
-            kib(mats.a.compressed_size_bytes()),
-            kib(mats.b.compressed_size_bytes()),
-            kib(CompressedMatrix::compressed_size_of(layer.spec.m, nnz_c)),
+            format!("{}, {}, {}", spec.m, spec.n, spec.k),
+            format!(
+                "{:.0}",
+                CompressedMatrix::sparsity_percent_of(spec.m, spec.k, nnz_a)
+            ),
+            format!(
+                "{:.0}",
+                CompressedMatrix::sparsity_percent_of(spec.k, spec.n, nnz_b)
+            ),
+            kib(CompressedMatrix::compressed_size_of(spec.m, nnz_a)),
+            kib(CompressedMatrix::compressed_size_of(spec.k, nnz_b)),
+            kib(CompressedMatrix::compressed_size_of(spec.m, nnz_c)),
             format!("{:?}", layer.favours),
             predicted.to_string(),
         ]);

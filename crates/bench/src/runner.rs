@@ -4,7 +4,7 @@ use flexagon_core::{
     mapper, Accelerator, AcceleratorConfig, CpuMkl, Dataflow, EngineConfig, ExecutionReport,
     ExecutionRequest, GammaLike, MappingStrategy, SigmaLike, SparchLike, Stationarity,
 };
-use flexagon_dnn::{DnnModel, LayerSpec};
+use flexagon_dnn::{DnnModel, LayerMatrices, LayerSpec};
 use rayon::prelude::*;
 use serde::Serialize;
 
@@ -138,9 +138,10 @@ impl Default for RunOptions {
 }
 
 /// Concurrent simulations per layer under the layer-parallel runner: the
-/// three fixed-dataflow accelerators plus the CPU baseline fan out through
-/// nested `rayon::join`s in [`run_layer`].
-pub const LAYER_SIM_FANOUT: usize = 4;
+/// three fixed-dataflow accelerators fan out through nested `rayon::join`s
+/// in [`run_layer_on`]. The CPU baseline's report is arithmetic on the
+/// SIGMA-like run's counts and runs no simulation.
+pub const LAYER_SIM_FANOUT: usize = 3;
 
 /// The intra-layer shard-worker budget that keeps nested parallelism from
 /// oversubscribing: with `parallel_sims` simulations already fanned across
@@ -152,7 +153,19 @@ pub fn intra_layer_worker_budget(total_threads: usize, parallel_sims: usize) -> 
 }
 
 /// Runs one layer on the four accelerators plus the CPU baseline under the
-/// given [`RunOptions`].
+/// given [`RunOptions`]: [`run_layer_on`] over the layer's operands,
+/// materialized from `seed`.
+///
+/// # Panics
+///
+/// As [`run_layer_on`].
+pub fn run_layer(spec: &LayerSpec, seed: u64, opts: &RunOptions) -> LayerResults {
+    run_layer_on(spec, &spec.materialize(seed), opts)
+}
+
+/// Runs one layer, whose operands `mats` the caller has materialized from
+/// `spec`, on the four accelerators plus the CPU baseline under the given
+/// [`RunOptions`].
 ///
 /// The three fixed-dataflow baselines run their M-stationary variant, as in
 /// the paper's per-layer methodology. Flexagon's number is the strategy's
@@ -162,13 +175,18 @@ pub fn intra_layer_worker_budget(total_threads: usize, parallel_sims: usize) -> 
 /// the operands before any result is known), or the pinned class under
 /// [`MappingStrategy::Fixed`].
 ///
+/// The CPU baseline's report is [`CpuMkl::report`] of the SIGMA-like run's
+/// work profile and nnz(C). Neither depends on how the operands are
+/// ordered or which engine computed C, since every engine keeps the
+/// structural zeros the CPU's C keeps, so the report equals
+/// [`CpuMkl::run`]'s without a second SpGEMM.
+///
 /// # Panics
 ///
 /// Panics if any simulation fails — harness inputs are always well-formed —
 /// or if a `Fixed` strategy names an N-stationary dataflow (this harness
 /// measures the M-stationary variants).
-pub fn run_layer(spec: &LayerSpec, seed: u64, opts: &RunOptions) -> LayerResults {
-    let mats = spec.materialize(seed);
+pub fn run_layer_on(spec: &LayerSpec, mats: &LayerMatrices, opts: &RunOptions) -> LayerResults {
     let base_cfg = {
         let mut cfg = AcceleratorConfig::table5();
         cfg.engine = opts.engine;
@@ -192,32 +210,25 @@ pub fn run_layer(spec: &LayerSpec, seed: u64, opts: &RunOptions) -> LayerResults
             .expect("gustavson run")
             .output
     };
-    let sim_cpu = || {
-        CpuMkl::with_defaults()
-            .run(&mats.a, &mats.b)
-            .expect("cpu run")
-    };
-    // The four systems are independent simulations of the same operands.
-    // Under layer-level parallelism they fan out across cores; each closure
-    // is a pure function of the materialized matrices, so the parallel
-    // schedule cannot change any report bit. When the intra-layer shard
-    // workers own the machine instead, the systems run sequentially so the
-    // two levels of parallelism never multiply.
-    let (ip, op, gu, cpu_out) = if opts.layer_parallel {
-        let ((ip, op), (gu, cpu_out)) = rayon::join(
-            || rayon::join(sim_ip, sim_op),
-            || rayon::join(sim_gu, sim_cpu),
-        );
-        (ip, op, gu, cpu_out)
+    // The three accelerators are independent simulations of the same
+    // operands. Under layer-level parallelism they fan out across cores;
+    // each closure is a pure function of the materialized matrices, so the
+    // parallel schedule cannot change any report bit. When the intra-layer
+    // shard workers own the machine instead, the accelerators run
+    // sequentially so the two levels of parallelism never multiply.
+    let (ip, op, gu) = if opts.layer_parallel {
+        let ((ip, op), gu) = rayon::join(|| rayon::join(sim_ip, sim_op), sim_gu);
+        (ip, op, gu)
     } else {
-        (sim_ip(), sim_op(), sim_gu(), sim_cpu())
+        (sim_ip(), sim_op(), sim_gu())
     };
+    let cpu = CpuMkl::with_defaults().report(&ip.report.work, ip.c.nnz() as u64);
     let mut results = LayerResults {
         spec: spec.clone(),
         inner_product: ip.report,
         outer_product: op.report,
         gustavson: gu.report,
-        cpu: cpu_out.report,
+        cpu,
         // Placeholder until the strategy resolves below (Oracle needs the
         // three reports it is selecting over).
         flexagon_dataflow: Dataflow::InnerProductM,
@@ -390,6 +401,33 @@ mod tests {
         assert!(f <= r.inner_product.total_cycles);
         assert!(f <= r.outer_product.total_cycles);
         assert!(f <= r.gustavson.total_cycles);
+    }
+
+    #[test]
+    fn cpu_report_from_counts_matches_cpu_run() {
+        // The CPU baseline's report comes from the SIGMA-like run's counts;
+        // it must serialize exactly as the report of the CPU's own SpGEMM.
+        let specs = [
+            LayerSpec::new(0, "square", 32, 32, 32, 60.0, 60.0),
+            LayerSpec::new(1, "wide", 8, 40, 200, 30.0, 90.0),
+            LayerSpec::new(2, "tall", 120, 64, 3, 95.0, 20.0),
+            LayerSpec::new(3, "dense", 16, 16, 16, 0.0, 0.0),
+            LayerSpec::new(4, "zero B", 16, 20, 24, 50.0, 100.0),
+        ];
+        for spec in &specs {
+            let mats = spec.materialize(7);
+            let want = CpuMkl::with_defaults().run(&mats.a, &mats.b).unwrap();
+            let got = run_layer(spec, 7, &RunOptions::default()).cpu;
+            assert_eq!(
+                serde_json::to_string(&got).unwrap(),
+                serde_json::to_string(&want.report).unwrap(),
+                "{}",
+                spec.name
+            );
+            if spec.sp_b == 100.0 {
+                assert_eq!((mats.b.nnz(), want.c.nnz()), (0, 0));
+            }
+        }
     }
 
     #[test]

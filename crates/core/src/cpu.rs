@@ -17,7 +17,10 @@
 //! The cost model sees only the work profile and nnz(C), never how the
 //! host computed C. It only needs to place the CPU 1–2 orders of magnitude
 //! behind the accelerators — the property Fig. 12's speed-ups rest on —
-//! and its two constants are documented and tunable.
+//! and its two constants are documented and tunable. A caller that already
+//! holds both counts, such as the per-layer harness beside an accelerator
+//! run of the same operands, takes the report from [`CpuMkl::report`] and
+//! skips the SpGEMM.
 
 use crate::{Dataflow, ExecutionReport, Result, RunOutput, TrafficReport};
 use flexagon_sim::{CounterSet, Cycle, Phase, PhaseClock, Ratio};
@@ -88,23 +91,30 @@ impl CpuMkl {
         let b_csr = csr(b);
         let work = SpGemmWork::of(&a_csr, &b_csr);
         let c = gustavson(&a_csr, &b_csr)?;
-        let cycles = self.estimate_cycles(&work, c.nnz() as u64);
+        let report = self.report(&work, c.nnz() as u64);
+        Ok(RunOutput { c, report })
+    }
+
+    /// The report [`CpuMkl::run`] returns for a product with work profile
+    /// `work` and `nnz_c` output nonzeros, without computing C: the cost
+    /// model reads nothing else.
+    pub fn report(&self, work: &SpGemmWork, nnz_c: u64) -> ExecutionReport {
+        let cycles = self.estimate_cycles(work, nnz_c);
         let mut phases = PhaseClock::new();
         phases.advance(Phase::Streaming, cycles);
-        let report = ExecutionReport {
+        ExecutionReport {
             dataflow: Dataflow::GustavsonM,
             total_cycles: cycles,
             phases,
             traffic: TrafficReport::default(),
             cache: Ratio::new(),
             psram: flexagon_mem::PsramUsage::default(),
-            work,
+            work: *work,
             tiles: 0,
             multiplications: work.products,
             explicit_conversions: 0,
             counters: CounterSet::new(),
-        };
-        Ok(RunOutput { c, report })
+        }
     }
 
     /// The cycle estimate for a given work profile and output size.

@@ -347,6 +347,117 @@ fn inner_product_reports_match_recorded_digests() {
     assert_eq!(actual, EXPECTED, "digests drifted; now:\n{listing}");
 }
 
+/// A Table 5 Outer-Product(M) shape whose early tiles overflow a PSRAM set
+/// and whose later tiles do not: A's first 64 columns hold only rows 0 and
+/// 64, which share set 0, and its last 64 columns are sparse over all 130
+/// rows. B's rows average about 50 elements, four blocks each.
+fn op_mixed_spill_shape(seed: u64) -> (CompressedMatrix, CompressedMatrix) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let sparse = gen::random(130, 64, 0.1, MajorOrder::Row, &mut rng);
+    let mut triplets: Vec<(u32, u32, f32)> = (0..64)
+        .flat_map(|k| [(0, k, 1.0 + k as f32), (64, k, -0.5 - k as f32)])
+        .collect();
+    for (row, fiber) in sparse.fibers() {
+        for (&k, &v) in fiber.coords().iter().zip(fiber.values()) {
+            triplets.push((row, 64 + k, v));
+        }
+    }
+    let a = CompressedMatrix::from_triplets(130, 128, &triplets, MajorOrder::Row).unwrap();
+    (a, gen::random(128, 64, 0.8, MajorOrder::Row, &mut rng))
+}
+
+#[test]
+fn outer_product_reports_match_recorded_digests() {
+    // Pins OP(M) and OP(N) on `tiny()` and Table 5, unbanded and banded.
+    // Per shape and dataflow, either no tile overflows a PSRAM set, or
+    // every tile does, or some do and some do not. An overflowing tile
+    // spills chains to DRAM and reloads them when it merges.
+    let tiny_shapes = [
+        // No spill: every B row and A column fits one set.
+        pair(8, 24, 8, 0.25, 0.25, 41),
+        // Every tile spills: each chain alone outgrows its set.
+        pair(24, 12, 24, 0.9, 0.9, 42),
+        // Mixed: only tiles whose chains crowd one set spill.
+        pair(16, 20, 16, 0.5, 0.5, 43),
+    ];
+    let table5_shapes = [
+        // No spill.
+        pair(64, 96, 64, 0.3, 0.3, 44),
+        // Every OP(M) tile spills: 32 chains of 4 blocks per set. OP(N)
+        // streams A's two-element columns and never spills.
+        pair(2, 128, 80, 1.0, 0.8, 45),
+        // OP(M) mixed, OP(N) no spill.
+        op_mixed_spill_shape(46),
+    ];
+    // Per config: the shapes, whether OP(M) and OP(N) spill on each, and a
+    // grain that cuts each into several bands.
+    let cases = [
+        (
+            AcceleratorConfig::tiny(),
+            &tiny_shapes,
+            [[false, false], [true, true], [true, true]],
+            24,
+        ),
+        (
+            AcceleratorConfig::table5(),
+            &table5_shapes,
+            [[false, false], [true, false], [true, false]],
+            128,
+        ),
+    ];
+    // Per config, per grain (0, then banded), per shape: OP(M) then OP(N).
+    // Recorded from a build that wrote and consumed every psum chain of a
+    // tile through the PSRAM one at a time and parked every partial in a
+    // per-row vector.
+    const EXPECTED: [u64; 24] = [
+        0x12bfe95dfcc4081d,
+        0xd055888fd349f14d,
+        0x84e331d7341d8684,
+        0xbf15205580ea73dc,
+        0x26e9dbf200b11bef,
+        0x4e41ebcfc72f606f,
+        0x016c6d15501e1e3d,
+        0xca0b5a9ed3f1bc52,
+        0x8a75668057046abf,
+        0x81b004c243515d71,
+        0xcb1efaf06a38ac00,
+        0xfd72c75f5f30ddaa,
+        0x090337e6ef882b9b,
+        0xd0e670928fdacf55,
+        0x75806f7883a553a1,
+        0x4413bc94cea6e4b6,
+        0x2141f07b40f76407,
+        0x1f266a872f036497,
+        0x97a66780d7119bb8,
+        0x7f11eca81cb49445,
+        0x800fce7396164eeb,
+        0x673a9d8bf82c6766,
+        0xaa4c9cdc1e20b21a,
+        0x764265b713bdf95d,
+    ];
+    let mut actual = Vec::new();
+    for (cfg, shapes, spills, grain) in cases {
+        for grain in [0, grain] {
+            let mut cfg = cfg;
+            cfg.engine = cfg.engine.sharded(grain, 1);
+            let accel = Flexagon::new(cfg);
+            for ((a, b), spills) in shapes.iter().zip(spills) {
+                for (df, spills) in [Dataflow::OuterProductM, Dataflow::OuterProductN]
+                    .into_iter()
+                    .zip(spills)
+                {
+                    let out = run_df(&accel, a, b, df).unwrap();
+                    let spilled = out.report.psram.spilled_elements;
+                    assert_eq!(spilled > 0, spills, "{df} grain {grain}: {spilled} spilled");
+                    actual.push(digest(&out));
+                }
+            }
+        }
+    }
+    let listing: String = actual.iter().map(|d| format!("0x{d:016x},\n")).collect();
+    assert_eq!(actual, EXPECTED, "digests drifted; now:\n{listing}");
+}
+
 #[test]
 fn inner_product_reads_its_streamed_operand_in_either_order() {
     // IP(M) streams B and IP(N) streams A. Whichever major order that

@@ -7,7 +7,9 @@
 //!
 //! Addresses handed to the cache are therefore *element offsets* within the
 //! streaming matrix's data vector, scaled to bytes — no translation state is
-//! needed and tags stay short, exactly as the paper argues.
+//! needed and tags stay short, exactly as the paper argues. A line's set is
+//! its index modulo the set count, taken with a mask when the count is a
+//! power of two (every Table 5-derived geometry) and a division otherwise.
 //!
 //! Accesses probe real tag state line by line, with one exception: a pass
 //! that streams the same ranges again and again ([`StrCache::stream_pass`],
@@ -96,6 +98,9 @@ pub struct StrCache {
     /// `sets[s]` holds up to `associativity` line tags in LRU order
     /// (most-recently-used last).
     sets: Vec<Vec<u64>>,
+    /// `sets.len() - 1` when the set count is a power of two, so a probe
+    /// masks the line index instead of dividing it.
+    set_mask: Option<u64>,
     stats: Ratio,
     fill_bytes: u64,
     onchip_bytes: u64,
@@ -121,10 +126,12 @@ pub struct PassMemo {
 impl StrCache {
     /// Creates a cache with the given geometry, initially empty.
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = vec![Vec::with_capacity(cfg.associativity as usize); cfg.num_sets() as usize];
+        let num_sets = cfg.num_sets();
+        let sets = vec![Vec::with_capacity(cfg.associativity as usize); num_sets as usize];
         Self {
             cfg,
             sets,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets - 1),
             stats: Ratio::new(),
             fill_bytes: 0,
             onchip_bytes: 0,
@@ -165,9 +172,11 @@ impl StrCache {
     /// paper's Fig. 15 miss rate is per element access, which
     /// [`StrCache::read_range`] and [`StrCache::access_byte`] account for).
     pub fn access_line(&mut self, line: u64, dram: &mut Dram) -> bool {
-        let num_sets = self.cfg.num_sets();
-        let set_idx = (line % num_sets) as usize;
-        let set = &mut self.sets[set_idx];
+        let set_idx = match self.set_mask {
+            Some(mask) => line & mask,
+            None => line % self.sets.len() as u64,
+        };
+        let set = &mut self.sets[set_idx as usize];
         if let Some(pos) = set.iter().position(|&tag| tag == line) {
             let tag = set.remove(pos);
             set.push(tag);

@@ -27,6 +27,13 @@
 //! it buffers in its own accumulators. Data chains
 //! ([`Psram::partial_write_fiber`], [`Psram::consume_fiber`]) are the
 //! reference the tests hold the ghost accounting against.
+//!
+//! A batch of fresh ghost chains that is written in full and then consumed
+//! in full, as an Outer-Product tile's psums are, can skip the chain walk:
+//! on an empty PSRAM where no set's demand exceeds its blocks nothing
+//! spills, and [`Psram::ghost_roundtrip`] charges the batch's traffic and
+//! high-water mark in one step. A batch that could spill goes chain by
+//! chain.
 
 use crate::Dram;
 use flexagon_sparse::{Element, Fiber, ELEMENT_BYTES};
@@ -194,6 +201,9 @@ pub struct Psram {
     spilled: HashMap<(u32, u32), SoaBuf>,
     /// Overflow lengths of ghost chains resident in DRAM, keyed by (row, k).
     spilled_ghost: HashMap<(u32, u32), u64>,
+    /// Per-set block demand scratch of [`Psram::ghost_roundtrip`], all zero
+    /// between calls.
+    demand: Vec<usize>,
 }
 
 impl Psram {
@@ -209,6 +219,7 @@ impl Psram {
             usage: PsramUsage::default(),
             spilled: HashMap::new(),
             spilled_ghost: HashMap::new(),
+            demand: vec![0; cfg.num_sets as usize],
         }
     }
 
@@ -420,6 +431,43 @@ impl Psram {
             total += chain.len as u64;
         }
         total
+    }
+
+    /// Writes and then consumes a batch of fresh ghost chains in one step,
+    /// when that provably spills nothing.
+    ///
+    /// `chains` lists one `(row, len)` per chain, each a distinct `(row, k)`
+    /// written once, all before the first consume. On an empty PSRAM such
+    /// a batch spills only if some set's demand, the sum of `ceil(len /
+    /// elements_per_block)` over its chains, exceeds its blocks. When none
+    /// does, this charges exactly what the [`Psram::ghost_write`]s and
+    /// [`Psram::ghost_consume`]s would: written and read elements each grow
+    /// by the sum of `len`, the high-water mark takes the sum of blocks,
+    /// nothing stays live and DRAM sees no traffic. It then returns `true`.
+    ///
+    /// Otherwise (the PSRAM holds psums, or a set would overflow) it
+    /// returns `false` and changes nothing; the caller writes and consumes
+    /// chain by chain, spills included.
+    pub fn ghost_roundtrip(&mut self, chains: &[(u32, usize)]) -> bool {
+        if !self.is_empty() {
+            return false;
+        }
+        let per_block = self.cfg.elements_per_block();
+        for &(row, len) in chains {
+            let set = self.set_index(row);
+            self.demand[set] += len.div_ceil(per_block);
+        }
+        let capacity = self.cfg.blocks_per_set();
+        let fits = self.demand.iter().all(|&blocks| blocks <= capacity);
+        let blocks: usize = self.demand.iter().sum();
+        self.demand.fill(0);
+        if fits {
+            let elements: u64 = chains.iter().map(|&(_, len)| len as u64).sum();
+            self.write_elems += elements;
+            self.read_elems += elements;
+            self.usage.high_water_blocks = self.usage.high_water_blocks.max(blocks);
+        }
+        fits
     }
 
     /// Returns `true` when no psums are buffered anywhere.
@@ -682,6 +730,38 @@ mod tests {
         assert_eq!(data.read_elements(), ghost.read_elements());
         same_dram(&data_dram, &ghost_dram);
         assert!(data.is_empty() && ghost.is_empty());
+    }
+
+    #[test]
+    fn ghost_roundtrip_takes_only_batches_that_cannot_spill() {
+        // 2 sets x 4 blocks x 2 elements.
+        let mut p = tiny();
+        let mut dram = Dram::with_defaults();
+        // Set 0 takes 3 + 1 blocks, set 1 takes 2: everything fits.
+        assert!(p.ghost_roundtrip(&[(0, 5), (2, 1), (1, 4), (3, 0)]));
+        assert_eq!(p.written_elements(), 10);
+        assert_eq!(p.read_elements(), 10);
+        assert_eq!(
+            p.usage(),
+            PsramUsage {
+                live_blocks: 0,
+                high_water_blocks: 6,
+                spilled_elements: 0,
+            }
+        );
+        assert!(p.is_empty());
+        // Set 0 would need 5 blocks: declined, nothing charged.
+        assert!(!p.ghost_roundtrip(&[(0, 4), (4, 6)]));
+        // A resident chain declines even a batch that fits.
+        p.ghost_write(1, 0, 1, &mut dram);
+        assert!(!p.ghost_roundtrip(&[(0, 1)]));
+        assert_eq!((p.written_elements(), p.read_elements()), (11, 10));
+        assert_eq!(p.usage().high_water_blocks, 6);
+        p.ghost_consume(1, 0, &mut dram);
+        // The demand scratch starts clean after a declined batch.
+        assert!(p.ghost_roundtrip(&[(0, 8), (1, 8)]));
+        assert_eq!(p.usage().high_water_blocks, 8);
+        assert_eq!(dram.written_bytes() + dram.read_bytes(), 0);
     }
 
     #[test]

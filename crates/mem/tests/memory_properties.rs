@@ -3,7 +3,7 @@
 //! must agree with an ideal reference model on hit/miss classification.
 
 use flexagon_mem::{CacheConfig, Dram, PassMemo, Psram, PsramConfig, StrCache};
-use flexagon_sparse::Element;
+use flexagon_sparse::{Element, ELEMENT_BYTES};
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
 
@@ -102,6 +102,84 @@ proptest! {
         prop_assert!(data.is_empty() && ghost.is_empty());
     }
 
+    /// `ghost_roundtrip` takes a batch of fresh chains exactly when writing
+    /// and then consuming them chain by chain would spill nothing, and then
+    /// charges what those calls charge: against a twin PSRAM driven by
+    /// `ghost_write`s and then `ghost_consume`s, occupancy, written and
+    /// read elements, on-chip bytes and DRAM bytes and requests agree. When
+    /// it declines, because a set would overflow or because a chain is
+    /// resident, it leaves the PSRAM as it found it.
+    #[test]
+    fn ghost_roundtrip_matches_per_chain_ghosts(
+        (elems_shift, sets_shift, blocks_shift) in (0u32..3, 0u32..3, 0u32..4),
+        batches in proptest::collection::vec(
+            (proptest::collection::vec((0u32..8, 0usize..12), 0..8), 0u32..4),
+            1..6,
+        ),
+    ) {
+        let num_sets = 1u32 << sets_shift;
+        let block_bytes = ELEMENT_BYTES << elems_shift;
+        let cfg = PsramConfig {
+            capacity_bytes: (block_bytes * u64::from(num_sets)) << blocks_shift,
+            block_bytes,
+            num_sets,
+            banks: 1,
+        };
+        let state = |p: &Psram, dram: &Dram| {
+            (
+                p.usage(),
+                p.written_elements(),
+                p.read_elements(),
+                p.onchip_bytes(),
+                dram.written_bytes(),
+                dram.read_bytes(),
+                dram.write_requests(),
+                dram.read_requests(),
+            )
+        };
+        let per_chain = |p: &mut Psram, dram: &mut Dram, chains: &[(u32, usize)], k0: u32| {
+            for (k, &(row, len)) in (k0..).zip(chains) {
+                p.ghost_write(row, k, len, dram);
+            }
+            for (k, &(row, _)) in (k0..).zip(chains) {
+                p.ghost_consume(row, k, dram);
+            }
+        };
+        let (mut batched, mut twin) = (Psram::new(cfg), Psram::new(cfg));
+        let (mut batched_dram, mut twin_dram) = (Dram::with_defaults(), Dram::with_defaults());
+        let mut k0 = 0u32;
+        for (chains, resident) in batches {
+            // One batch in four finds a one-element chain resident.
+            let resident = resident == 0;
+            if resident {
+                batched.ghost_write(0, u32::MAX, 1, &mut batched_dram);
+                twin.ghost_write(0, u32::MAX, 1, &mut twin_dram);
+            }
+            let before = state(&batched, &batched_dram);
+            let spilled = twin.usage().spilled_elements;
+            let took = batched.ghost_roundtrip(&chains);
+            per_chain(&mut twin, &mut twin_dram, &chains, k0);
+            if took {
+                prop_assert!(!resident, "took a batch with a chain resident");
+                prop_assert_eq!(twin.usage().spilled_elements, spilled, "took a spilling batch");
+            } else {
+                prop_assert_eq!(state(&batched, &batched_dram), before, "declined yet changed");
+                prop_assert!(
+                    resident || twin.usage().spilled_elements > spilled,
+                    "declined a batch that spills nothing"
+                );
+                per_chain(&mut batched, &mut batched_dram, &chains, k0);
+            }
+            prop_assert_eq!(state(&batched, &batched_dram), state(&twin, &twin_dram));
+            if resident {
+                batched.ghost_consume(0, u32::MAX, &mut batched_dram);
+                twin.ghost_consume(0, u32::MAX, &mut twin_dram);
+            }
+            prop_assert!(batched.is_empty() && twin.is_empty());
+            k0 += chains.len() as u32;
+        }
+    }
+
     /// PSRAM traffic accounting: written == read when everything is
     /// consumed (and both equal the total element count).
     #[test]
@@ -155,32 +233,35 @@ proptest! {
     }
 
     /// LRU within a set: the cache behaves exactly like a per-set LRU queue
-    /// reference model.
+    /// reference model, with a power-of-two set count (8 sets) and without
+    /// one (3 sets).
     #[test]
     fn cache_matches_lru_reference(
         lines in proptest::collection::vec(0u64..48, 1..200),
     ) {
-        let cfg = CacheConfig {
-            capacity_bytes: 512,
-            line_bytes: 16,
-            associativity: 4,
-            banks: 1,
-        };
-        let sets = cfg.num_sets();
-        let mut cache = StrCache::new(cfg);
-        let mut dram = Dram::with_defaults();
-        let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); sets as usize];
-        for &line in &lines {
-            let set = (line % sets) as usize;
-            let model_hit = model[set].contains(&line);
-            let hit = cache.access_line(line, &mut dram);
-            prop_assert_eq!(hit, model_hit, "line {} divergence", line);
-            if model_hit {
-                model[set].retain(|&l| l != line);
-            } else if model[set].len() == 4 {
-                model[set].pop_front();
+        for capacity_bytes in [512, 192] {
+            let cfg = CacheConfig {
+                capacity_bytes,
+                line_bytes: 16,
+                associativity: 4,
+                banks: 1,
+            };
+            let sets = cfg.num_sets();
+            let mut cache = StrCache::new(cfg);
+            let mut dram = Dram::with_defaults();
+            let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); sets as usize];
+            for &line in &lines {
+                let set = (line % sets) as usize;
+                let model_hit = model[set].contains(&line);
+                let hit = cache.access_line(line, &mut dram);
+                prop_assert_eq!(hit, model_hit, "{} sets: line {} divergence", sets, line);
+                if model_hit {
+                    model[set].retain(|&l| l != line);
+                } else if model[set].len() == 4 {
+                    model[set].pop_front();
+                }
+                model[set].push_back(line);
             }
-            model[set].push_back(line);
         }
     }
 
