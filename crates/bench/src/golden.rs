@@ -3,7 +3,9 @@
 //! full execution report plus its functional output matrix.
 //!
 //! Two builds of the simulator are functionally and timing-model
-//! equivalent iff their corpora are byte-identical. `golden_reports` prints
+//! equivalent iff their corpora are byte-identical. Every engine case is
+//! also run through [`Accelerator::simulate`], whose report must equal the
+//! executed one byte for byte. `golden_reports` prints
 //! the corpus (so CI can `cmp` it across shard-worker legs within one
 //! build), and `tests/golden_digests.rs` pins one FNV-1a digest per case
 //! against the checked-in `golden_digests.txt`, so the same contract also
@@ -129,18 +131,25 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if `accel` rejects a dataflow or a case fails to serialize.
+/// Panics if `accel` rejects a dataflow, a case fails to serialize, or the
+/// report of [`Accelerator::simulate`] differs from the executed one.
 pub fn run(accel: &impl Accelerator) -> Vec<GoldenCase> {
     let cpu = CpuMkl::with_defaults();
     let mut cases = Vec::with_capacity(SHAPES.len() * (Dataflow::ALL.len() + 1));
     for shape in &SHAPES {
         let (a, b) = shape.operands();
         for df in Dataflow::ALL {
-            let out = accel
-                .execute(ExecutionRequest::new(&a, &b).dataflow(df))
-                .expect("golden run")
-                .output;
-            cases.push(GoldenCase::new(shape.label(df), &out));
+            let req = ExecutionRequest::new(&a, &b).dataflow(df);
+            let out = accel.execute(req.clone()).expect("golden run").output;
+            let case = GoldenCase::new(shape.label(df), &out);
+            let simulated = accel.simulate(req).expect("golden simulation").report;
+            assert_eq!(
+                serde_json::to_string(&simulated).expect("report serializes"),
+                case.report,
+                "{}: the simulated report differs from the executed one",
+                case.label
+            );
+            cases.push(case);
         }
         let out = cpu.run(&a, &b).expect("golden CPU run");
         cases.push(GoldenCase::new(shape.label(SystemId::CpuMkl.name()), &out));

@@ -140,9 +140,10 @@ impl CaseOutcome {
 }
 
 /// Audits one case: simulates the three M-stationary dataflows on `accel`
-/// (fanned out across cores; each simulation is a pure function of the
-/// operands, so the schedule cannot change any count) and compares the
-/// oracle's winner with the calibrated heuristic's feature-only pick.
+/// for their reports alone ([`Accelerator::simulate`]; fanned out across
+/// cores, and each simulation is a pure function of the operands, so the
+/// schedule cannot change any count) and compares the oracle's winner with
+/// the calibrated heuristic's feature-only pick.
 ///
 /// # Panics
 ///
@@ -150,9 +151,8 @@ impl CaseOutcome {
 pub fn evaluate_case(accel: &Flexagon, case: &AccuracyCase) -> CaseOutcome {
     let run = |df: Dataflow| {
         accel
-            .execute(ExecutionRequest::new(&case.a, &case.b).dataflow(df))
+            .simulate(ExecutionRequest::new(&case.a, &case.b).dataflow(df))
             .unwrap_or_else(|e| panic!("{}: {df} failed: {e}", case.label))
-            .output
             .report
             .total_cycles
     };

@@ -357,8 +357,9 @@ fn table4_transitions(_: &Inputs, out: &mut String) -> fmt::Result {
 /// (the accuracy audit proper — oracle comparison over the whole suite —
 /// is the `mapper_accuracy` binary). Everything comes from the Table 6
 /// pass: sparsities and sizes from a report's nonzero counts of A and B
-/// (both CSR) and its `wbuf.elements`, which counts every element of C
-/// once, and the heuristic's pick from the pass's operands.
+/// (both CSR) and its `output_nnz` (the `wbuf.elements` counter, which
+/// counts every element of C once), and the heuristic's pick from the
+/// pass's operands.
 fn table6_layers(inputs: &Inputs, out: &mut String) -> fmt::Result {
     writeln!(out, "Table 6 — representative DNN layers (measured)\n")?;
     let pass = inputs.table6_pass();
@@ -370,7 +371,7 @@ fn table6_layers(inputs: &Inputs, out: &mut String) -> fmt::Result {
     {
         let spec = &layer.spec;
         let (nnz_a, nnz_b) = (results.cpu.work.nnz_a, results.cpu.work.nnz_b);
-        let nnz_c = results.inner_product.counters.get("wbuf.elements");
+        let nnz_c = results.inner_product.output_nnz();
         rows.push(vec![
             layer.id.to_string(),
             format!("{}, {}, {}", spec.m, spec.n, spec.k),
@@ -858,9 +859,8 @@ fn ablations(_: &Inputs, out: &mut String) -> fmt::Result {
         let layer = table6::by_id(layer_id).expect("known layer");
         let mats = layer.spec.materialize(DEFAULT_SEED);
         Flexagon::new(cfg)
-            .execute(ExecutionRequest::new(&mats.a, &mats.b).dataflow(dataflow))
+            .simulate(ExecutionRequest::new(&mats.a, &mats.b).dataflow(dataflow))
             .expect("run")
-            .output
             .report
             .total_cycles
     }

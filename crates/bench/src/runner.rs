@@ -140,7 +140,7 @@ impl Default for RunOptions {
 /// Concurrent simulations per layer under the layer-parallel runner: the
 /// three fixed-dataflow accelerators fan out through nested `rayon::join`s
 /// in [`run_layer_on`]. The CPU baseline's report is arithmetic on the
-/// SIGMA-like run's counts and runs no simulation.
+/// SIGMA-like report and runs no simulation.
 pub const LAYER_SIM_FANOUT: usize = 3;
 
 /// The intra-layer shard-worker budget that keeps nested parallelism from
@@ -168,18 +168,22 @@ pub fn run_layer(spec: &LayerSpec, seed: u64, opts: &RunOptions) -> LayerResults
 /// [`RunOptions`].
 ///
 /// The three fixed-dataflow baselines run their M-stationary variant, as in
-/// the paper's per-layer methodology. Flexagon's number is the strategy's
-/// selection among those three measured dataflows: the per-layer best
-/// under [`MappingStrategy::Oracle`], the calibrated cost model's
-/// feature-only pick under [`MappingStrategy::Heuristic`] (computed from
-/// the operands before any result is known), or the pinned class under
-/// [`MappingStrategy::Fixed`].
+/// the paper's per-layer methodology, through [`Accelerator::simulate`]:
+/// only their reports are kept, so none of them computes C. Flexagon's
+/// number is the strategy's selection among those three measured
+/// dataflows: the per-layer best under [`MappingStrategy::Oracle`], the
+/// calibrated cost model's feature-only pick under
+/// [`MappingStrategy::Heuristic`] (computed from the operands before any
+/// result is known), or the pinned class under [`MappingStrategy::Fixed`].
 ///
-/// The CPU baseline's report is [`CpuMkl::report`] of the SIGMA-like run's
-/// work profile and nnz(C). Neither depends on how the operands are
-/// ordered or which engine computed C, since every engine keeps the
-/// structural zeros the CPU's C keeps, so the report equals
-/// [`CpuMkl::run`]'s without a second SpGEMM.
+/// The CPU baseline's report is [`CpuMkl::report`] of the SIGMA-like
+/// report's work profile and nnz(C). nnz(C) is that report's
+/// [`ExecutionReport::output_nnz`], the elements its write buffer
+/// drained: every dataflow passes each element of C through the write
+/// buffer exactly once. Neither number depends on how the operands are
+/// ordered or which engine ran, since every engine keeps the structural
+/// zeros the CPU's C keeps, so the report equals [`CpuMkl::run`]'s without
+/// computing C at all.
 ///
 /// # Panics
 ///
@@ -194,21 +198,21 @@ pub fn run_layer_on(spec: &LayerSpec, mats: &LayerMatrices, opts: &RunOptions) -
     };
     let sim_ip = || {
         SigmaLike::new(base_cfg)
-            .execute(ExecutionRequest::new(&mats.a, &mats.b).dataflow(Dataflow::InnerProductM))
+            .simulate(ExecutionRequest::new(&mats.a, &mats.b).dataflow(Dataflow::InnerProductM))
             .expect("inner product run")
-            .output
+            .report
     };
     let sim_op = || {
         SparchLike::new(base_cfg)
-            .execute(ExecutionRequest::new(&mats.a, &mats.b).dataflow(Dataflow::OuterProductM))
+            .simulate(ExecutionRequest::new(&mats.a, &mats.b).dataflow(Dataflow::OuterProductM))
             .expect("outer product run")
-            .output
+            .report
     };
     let sim_gu = || {
         GammaLike::new(base_cfg)
-            .execute(ExecutionRequest::new(&mats.a, &mats.b).dataflow(Dataflow::GustavsonM))
+            .simulate(ExecutionRequest::new(&mats.a, &mats.b).dataflow(Dataflow::GustavsonM))
             .expect("gustavson run")
-            .output
+            .report
     };
     // The three accelerators are independent simulations of the same
     // operands. Under layer-level parallelism they fan out across cores;
@@ -222,12 +226,12 @@ pub fn run_layer_on(spec: &LayerSpec, mats: &LayerMatrices, opts: &RunOptions) -
     } else {
         (sim_ip(), sim_op(), sim_gu())
     };
-    let cpu = CpuMkl::with_defaults().report(&ip.report.work, ip.c.nnz() as u64);
+    let cpu = CpuMkl::with_defaults().report(&ip.work, ip.output_nnz());
     let mut results = LayerResults {
         spec: spec.clone(),
-        inner_product: ip.report,
-        outer_product: op.report,
-        gustavson: gu.report,
+        inner_product: ip,
+        outer_product: op,
+        gustavson: gu,
         cpu,
         // Placeholder until the strategy resolves below (Oracle needs the
         // three reports it is selecting over).

@@ -136,6 +136,19 @@ pub struct Execution {
     pub output: RunOutput,
 }
 
+/// Result of [`Accelerator::simulate`]: the selections the request left
+/// open, resolved, plus the execution report, with no output matrix.
+#[derive(Debug, Clone)]
+pub struct Simulation {
+    /// The dataflow that ran (the strategy's choice).
+    pub dataflow: Dataflow,
+    /// The resolved fiber storage format, as in [`Execution::format`].
+    pub format: FiberFormat,
+    /// Cycles, traffic and statistics for the run: byte for byte the
+    /// report [`Accelerator::execute`] returns for the same request.
+    pub report: ExecutionReport,
+}
+
 /// Common interface of all simulated accelerators.
 pub trait Accelerator {
     /// Human-readable name used in reports ("Flexagon", "SIGMA-like", ...).
@@ -176,64 +189,102 @@ pub trait Accelerator {
     /// request's [`CancelToken`] fires mid-execution; plus any engine
     /// error.
     fn execute(&self, req: ExecutionRequest<'_>) -> Result<Execution> {
-        if let Some(validation) = &req.validation {
-            validate_matrix(req.a, validation).map_err(CoreError::Validation)?;
-            validate_matrix(req.b, validation).map_err(CoreError::Validation)?;
-        }
-        let cfg = self.config();
-        let format = match req.format {
-            FormatChoice::Config => cfg.engine.format,
-            FormatChoice::Fixed(f) => f,
-        };
-        // Lossless formats are labels and leave the operands as they are;
-        // `q8` quantizes them once for every dataflow the strategy runs.
-        let quantized;
-        let (a, b) = if format.is_lossless() {
-            (req.a, req.b)
-        } else {
-            quantized = [req.a, req.b].map(|m| FormattedMatrix::encode(m, format).decode());
-            (&quantized[0], &quantized[1])
-        };
-        let run_one = |df: Dataflow| -> Result<RunOutput> {
-            if !self.supported_dataflows().contains(&df) {
-                return Err(CoreError::UnsupportedDataflow {
-                    accelerator: self.name().to_owned(),
-                    dataflow: df,
-                });
-            }
-            let (c, report) = engine::execute(cfg, a, b, df, &req.cancel)?;
-            Ok(RunOutput { c, report })
-        };
-        let (dataflow, output) = match req.strategy {
-            MappingStrategy::Fixed(df) => (df, run_one(df)?),
-            MappingStrategy::Heuristic => {
-                let df = mapper::heuristic_among(cfg, a, b, self.supported_dataflows());
-                (df, run_one(df)?)
-            }
-            MappingStrategy::Oracle => {
-                let mut best: Option<(Dataflow, RunOutput)> = None;
-                for &df in self.supported_dataflows() {
-                    let out = run_one(df)?;
-                    let better = match &best {
-                        None => true,
-                        Some((_, prev)) => out.report.total_cycles < prev.report.total_cycles,
-                    };
-                    if better {
-                        best = Some((df, out));
-                    }
-                }
-                best.ok_or_else(|| CoreError::UnsupportedDataflow {
-                    accelerator: self.name().to_owned(),
-                    dataflow: Dataflow::InnerProductM,
-                })?
-            }
-        };
+        let (sim, c) = run(self, req, true)?;
         Ok(Execution {
-            dataflow,
-            format,
-            output,
+            dataflow: sim.dataflow,
+            format: sim.format,
+            output: RunOutput {
+                c: c.expect("a run that computes C returns it"),
+                report: sim.report,
+            },
         })
     }
+
+    /// Runs `req` for its report alone. Validation, format and strategy
+    /// resolve exactly as in [`Accelerator::execute`], and so do the
+    /// simulated phases, but the output matrix C is never computed: no
+    /// product is multiplied or summed and no output is assembled. Every
+    /// cycle, counter, traffic and PSRAM charge reads only the lengths
+    /// and coordinates of the fibers, so the report is byte-identical to
+    /// `execute`'s. Under [`MappingStrategy::Oracle`] the sweep runs every
+    /// supported dataflow this way.
+    ///
+    /// nnz(C) is still known: see [`ExecutionReport::output_nnz`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Accelerator::execute`].
+    fn simulate(&self, req: ExecutionRequest<'_>) -> Result<Simulation> {
+        run(self, req, false).map(|(sim, _)| sim)
+    }
+}
+
+/// The one resolution behind [`Accelerator::execute`] and
+/// [`Accelerator::simulate`]: validates, resolves the format, dispatches
+/// the strategy and runs the engine, computing C only when `compute_c` is
+/// set.
+fn run<A: Accelerator + ?Sized>(
+    accel: &A,
+    req: ExecutionRequest<'_>,
+    compute_c: bool,
+) -> Result<(Simulation, Option<CompressedMatrix>)> {
+    if let Some(validation) = &req.validation {
+        validate_matrix(req.a, validation).map_err(CoreError::Validation)?;
+        validate_matrix(req.b, validation).map_err(CoreError::Validation)?;
+    }
+    let cfg = accel.config();
+    let format = match req.format {
+        FormatChoice::Config => cfg.engine.format,
+        FormatChoice::Fixed(f) => f,
+    };
+    // Lossless formats are labels and leave the operands as they are;
+    // `q8` quantizes them once for every dataflow the strategy runs.
+    let quantized;
+    let (a, b) = if format.is_lossless() {
+        (req.a, req.b)
+    } else {
+        quantized = [req.a, req.b].map(|m| FormattedMatrix::encode(m, format).decode());
+        (&quantized[0], &quantized[1])
+    };
+    let run_one = |df: Dataflow| -> Result<(Option<CompressedMatrix>, ExecutionReport)> {
+        if !accel.supported_dataflows().contains(&df) {
+            return Err(CoreError::UnsupportedDataflow {
+                accelerator: accel.name().to_owned(),
+                dataflow: df,
+            });
+        }
+        engine::execute(cfg, a, b, df, &req.cancel, compute_c)
+    };
+    let (dataflow, (c, report)) = match req.strategy {
+        MappingStrategy::Fixed(df) => (df, run_one(df)?),
+        MappingStrategy::Heuristic => {
+            let df = mapper::heuristic_among(cfg, a, b, accel.supported_dataflows());
+            (df, run_one(df)?)
+        }
+        MappingStrategy::Oracle => {
+            let mut best: Option<(Dataflow, (Option<CompressedMatrix>, ExecutionReport))> = None;
+            for &df in accel.supported_dataflows() {
+                let out = run_one(df)?;
+                let better = match &best {
+                    None => true,
+                    Some((_, (_, prev))) => out.1.total_cycles < prev.total_cycles,
+                };
+                if better {
+                    best = Some((df, out));
+                }
+            }
+            best.ok_or_else(|| CoreError::UnsupportedDataflow {
+                accelerator: accel.name().to_owned(),
+                dataflow: Dataflow::InnerProductM,
+            })?
+        }
+    };
+    let sim = Simulation {
+        dataflow,
+        format,
+        report,
+    };
+    Ok((sim, c))
 }
 
 macro_rules! fixed_accelerator {
@@ -379,9 +430,9 @@ mod tests {
                 .execute(ExecutionRequest::new(&a, &b).dataflow(df))
                 .unwrap();
             let (c, report) =
-                engine::execute(f.config(), &a, &b, df, &CancelToken::never()).unwrap();
+                engine::execute(f.config(), &a, &b, df, &CancelToken::never(), true).unwrap();
             assert_eq!(ex.dataflow, df);
-            assert_eq!(ex.output.c, c);
+            assert_eq!(Some(ex.output.c), c);
             assert_eq!(ex.output.report.total_cycles, report.total_cycles);
         }
     }
@@ -413,6 +464,64 @@ mod tests {
             .unwrap();
         assert_eq!(ex.output.report.total_cycles, best);
         assert_eq!(ex.dataflow, ex.output.report.dataflow);
+    }
+
+    #[test]
+    fn simulate_resolves_every_strategy_as_execute_does() {
+        use flexagon_sparse::FiberFormat;
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(15);
+        let a =
+            flexagon_sparse::gen::random(24, 32, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
+        let b =
+            flexagon_sparse::gen::random(32, 28, 0.3, flexagon_sparse::MajorOrder::Row, &mut rng);
+        let f = Flexagon::with_defaults();
+        for strategy in [
+            MappingStrategy::Oracle,
+            MappingStrategy::Heuristic,
+            MappingStrategy::Fixed(Dataflow::OuterProductN),
+        ] {
+            for format in [FiberFormat::Soa, FiberFormat::Quant8] {
+                let req = ExecutionRequest::new(&a, &b)
+                    .strategy(strategy)
+                    .format(format);
+                let ex = f.execute(req.clone()).unwrap();
+                let sim = f.simulate(req).unwrap();
+                assert_eq!((sim.dataflow, sim.format), (ex.dataflow, ex.format));
+                assert_eq!(
+                    serde_json::to_string(&sim.report).unwrap(),
+                    serde_json::to_string(&ex.output.report).unwrap(),
+                    "{strategy:?} {format}"
+                );
+                assert_eq!(sim.report.output_nnz(), ex.output.c.nnz() as u64);
+            }
+        }
+        // Errors resolve the same way too.
+        let sigma = SigmaLike::with_defaults();
+        let err = sigma
+            .simulate(ExecutionRequest::new(&a, &b).dataflow(Dataflow::GustavsonM))
+            .unwrap_err();
+        assert!(matches!(err, CoreError::UnsupportedDataflow { .. }));
+        let fired = CancelToken::manual();
+        fired.cancel();
+        let err = f
+            .simulate(ExecutionRequest::new(&a, &b).cancel_token(fired))
+            .unwrap_err();
+        assert!(matches!(err, CoreError::DeadlineExceeded));
+        let nan = CompressedMatrix::from_triplets(
+            32,
+            28,
+            &[(0, 0, f32::NAN)],
+            flexagon_sparse::MajorOrder::Row,
+        )
+        .unwrap();
+        let err = f
+            .simulate(
+                ExecutionRequest::new(&a, &nan)
+                    .validated(flexagon_sparse::ValidationConfig::untrusted()),
+            )
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Validation(_)));
     }
 
     #[test]

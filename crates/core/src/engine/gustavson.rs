@@ -75,7 +75,7 @@ pub(super) fn run(e: &mut Engine<'_>) {
             let out = if c_nnz == 0 {
                 Fiber::new()
             } else {
-                cluster_acc.begin(c_lo, c_hi, c_nnz, &AccumConfig::default());
+                cluster_acc.begin_mode(c_lo, c_hi, c_nnz, &AccumConfig::default(), e.compute_c);
                 for el in chunk.iter() {
                     if b.fiber_len(el.coord) > 0 {
                         cluster_acc.scatter_scaled(b.fiber(el.coord), el.value);
@@ -87,7 +87,7 @@ pub(super) fn run(e: &mut Engine<'_>) {
             e.mn.multiply(c_nnz);
             e.mrn.charge_merge(c_nnz, out.len() as u64);
             if cl.is_whole_row() {
-                e.emit_row(cl.row, out);
+                e.emit_row(cl.row, Psum::Owned(out));
             } else {
                 debug_assert!(
                     cl.chunk > 0 || split.is_empty(),
@@ -134,9 +134,9 @@ pub(super) fn run(e: &mut Engine<'_>) {
             for chunk in 0..chunks {
                 e.psram.ghost_consume(row, chunk, &mut e.dram);
             }
-            let (fiber, merging) = e.merge_row_fibers(std::mem::take(&mut split));
+            let (merged, merging) = e.merge_row_fibers(std::mem::take(&mut split));
             e.counters.incr("gust.split_rows_merged");
-            e.emit_row(row, fiber);
+            e.emit_row(row, merged);
             e.advance_with_dram(Phase::Merging, merging);
         }
     }

@@ -51,8 +51,12 @@
 //! window after window, so reports and outputs do not depend on the window
 //! width. The loop allocates its scratch once per band and keeps it clean
 //! across the band's tiles.
+//!
+//! A run without C compiles its own copy of the tile loop, which keeps the
+//! grid's hit words and no register: a whole row's dots are counted, not
+//! pushed, and a split row keeps only its hit mask.
 
-use super::{tiling, Engine};
+use super::{tiling, Engine, Psum};
 use flexagon_mem::PassMemo;
 use flexagon_sim::{cycles_for, Cycle, Phase};
 use flexagon_sparse::{Element, Fiber, MatrixView, Value};
@@ -96,13 +100,14 @@ impl<'a> Stream<'a> {
 }
 
 /// Cross-tile accumulator for rows split into chunks, one N-wide register
-/// file with a hit mask, allocated by the first split-row dot product.
+/// file with a hit mask, allocated by the first split-row dot product. A
+/// run without C allocates only the hit mask.
 ///
 /// The planner gives a split row's first chunk a tile of its own and its
 /// chunks consecutive tiles, so at most one split row is open at a time.
 /// Its dot products fold `0.0 + chunk0 + chunk1 …` per column in tile
 /// order, and the tile holding its last chunk closes it into a sorted
-/// fiber. Rows close in ascending order.
+/// fiber (with zero values without C). Rows close in ascending order.
 struct SplitAcc {
     n_dim: usize,
     /// The row accumulating, once one of its dot products has landed.
@@ -125,18 +130,40 @@ impl SplitAcc {
     }
 
     fn add(&mut self, row: u32, n: u32, value: Value) {
-        assert_eq!(*self.open.get_or_insert(row), row, "two split rows open");
-        if self.acc.is_empty() {
-            self.acc = vec![0.0; self.n_dim];
-            self.hit = vec![0; self.n_dim.div_ceil(64)];
-        }
+        self.open(row, true);
         let n = n as usize;
         self.hit[n >> 6] |= 1u64 << (n & 63);
         self.acc[n] += value;
     }
 
+    /// Marks the columns `lo + n` of every set bit `n` of `words`, row
+    /// `row`'s hits in one column window of a run without C.
+    fn add_hits(&mut self, row: u32, lo: usize, words: &[u64]) {
+        self.open(row, false);
+        for (w, &word) in words.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let n = lo + w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.hit[n >> 6] |= 1u64 << (n & 63);
+            }
+        }
+    }
+
+    /// Opens `row`, allocating the hit mask and, `with_values`, the
+    /// register file on first use.
+    fn open(&mut self, row: u32, with_values: bool) {
+        assert_eq!(*self.open.get_or_insert(row), row, "two split rows open");
+        if self.hit.is_empty() {
+            self.hit = vec![0; self.n_dim.div_ceil(64)];
+        }
+        if with_values && self.acc.is_empty() {
+            self.acc = vec![0.0; self.n_dim];
+        }
+    }
+
     /// Closes `tile`'s split row if the tile holds its last chunk.
-    fn close_after(&mut self, tile: &[tiling::Cluster]) {
+    fn close_after<const COMPUTE_C: bool>(&mut self, tile: &[tiling::Cluster]) {
         let Some(cl) = tile.iter().find(|c| !c.is_whole_row()) else {
             return;
         };
@@ -149,8 +176,12 @@ impl SplitAcc {
             while *word != 0 {
                 let n = w * 64 + word.trailing_zeros() as usize;
                 *word &= *word - 1;
-                fiber.push(Element::new(n as u32, self.acc[n]));
-                self.acc[n] = 0.0;
+                let value = if COMPUTE_C {
+                    std::mem::take(&mut self.acc[n])
+                } else {
+                    0.0
+                };
+                fiber.push(Element::new(n as u32, value));
             }
         }
         self.closed.push((cl.row, fiber));
@@ -177,7 +208,11 @@ fn run_in_windows(e: &mut Engine<'_>, stream: &Stream<'_>, window: usize) {
     let mut plan = tiling::RowPlan::default();
     tiling::plan_rows(e.a, e.cfg.multipliers, e.band.clone(), &mut plan);
     let mut split_acc = SplitAcc::new(stream.by_k.cols() as usize);
-    tile_loop(e, &plan, stream, window, &mut split_acc);
+    if e.compute_c {
+        tile_loop::<true>(e, &plan, stream, window, &mut split_acc);
+    } else {
+        tile_loop::<false>(e, &plan, stream, window, &mut split_acc);
+    }
     // A cancelled tile loop leaves nothing worth assembling: the band is
     // dropped wholesale by `execute`.
     if e.is_cancelled() {
@@ -189,7 +224,7 @@ fn run_in_windows(e: &mut Engine<'_>, stream: &Stream<'_>, window: usize) {
     let mut split_elems = 0u64;
     for (row, fiber) in split_acc.closed {
         split_elems += fiber.len() as u64;
-        e.emit_row(row, fiber);
+        e.emit_row(row, Psum::Owned(fiber));
     }
     if split_elems > 0 {
         e.counters.add("ip.split_row_elements", split_elems);
@@ -241,8 +276,9 @@ fn emit_dot(
 }
 
 /// The tile loop: each tile reads only the rows of B its stationary ks
-/// select, one column window at a time.
-fn tile_loop(
+/// select, one column window at a time. `COMPUTE_C` false keeps the hit
+/// words only: no product is summed and no dot is stored.
+fn tile_loop<const COMPUTE_C: bool>(
     e: &mut Engine<'_>,
     plan: &tiling::RowPlan,
     stream: &Stream<'_>,
@@ -260,7 +296,7 @@ fn tile_loop(
     let mut k_entries = vec![Vec::new(); a.cols() as usize];
     let mut touched_k = Vec::new();
     let mut cursor: Vec<usize> = Vec::new();
-    let mut acc: Vec<Value> = vec![0.0; slots * width];
+    let mut acc: Vec<Value> = vec![0.0; if COMPUTE_C { slots * width } else { 0 }];
     let mut hit = vec![0u64; slots * w_words];
     let mut memo = PassMemo::default();
 
@@ -300,7 +336,11 @@ fn tile_loop(
                 products += (len * entries.len()) as u64;
                 for &(ci, aval) in entries {
                     let ci = ci as usize;
-                    let acc = &mut acc[ci * width..(ci + 1) * width];
+                    let acc = if COMPUTE_C {
+                        &mut acc[ci * width..(ci + 1) * width]
+                    } else {
+                        &mut []
+                    };
                     let hit = &mut hit[ci * w_words..(ci + 1) * w_words];
                     // The hit word stays in a register while consecutive
                     // columns share it, instead of a store-to-load chain
@@ -313,7 +353,9 @@ fn tile_loop(
                             (word, bits) = (n >> 6, 0);
                         }
                         bits |= 1u64 << (n & 63);
-                        acc[n] += aval * bval;
+                        if COMPUTE_C {
+                            acc[n] += aval * bval;
+                        }
                     }
                     hit[word] |= bits;
                 }
@@ -330,6 +372,16 @@ fn tile_loop(
                 columns += u64::from(any.count_ones());
             }
             for (ci, cl) in tile.iter().enumerate() {
+                if !COMPUTE_C {
+                    let hits = &mut hit[ci * w_words..ci * w_words + words];
+                    if cl.is_whole_row() {
+                        final_elems += hits.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+                    } else {
+                        split_acc.add_hits(cl.row, lo, hits);
+                    }
+                    hits.fill(0);
+                    continue;
+                }
                 for w in 0..words {
                     let word = &mut hit[ci * w_words + w];
                     while *word != 0 {
@@ -341,7 +393,7 @@ fn tile_loop(
                 }
             }
         }
-        split_acc.close_after(tile);
+        split_acc.close_after::<COMPUTE_C>(tile);
         e.mn.multiply(products);
         e.mrn.reduce(products, columns);
         e.dn.send_irregular(injected, products.max(injected));
@@ -366,7 +418,8 @@ mod tests {
     #[test]
     fn window_width_never_changes_the_outcome() {
         // Four multipliers: A's rows of ~12 elements split across tiles,
-        // and B's 150 columns span up to 150 windows.
+        // and B's 150 columns span up to 150 windows. A run without C
+        // stores no fiber and has the same totals.
         let cfg = AcceleratorConfig::tiny();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let a = gen::random(24, 40, 0.3, MajorOrder::Row, &mut rng);
@@ -374,14 +427,26 @@ mod tests {
         assert!((0..a.rows()).any(|r| a.view().fiber_len(r) > 4));
         let stream = Stream::new(b.view(), cfg.dn_bandwidth);
         let cancel = CancelToken::never();
-        let outcome = |window: usize| {
-            let mut e = Engine::new(&cfg, a.view(), b.view(), 0..a.rows(), &cancel);
+        let outcome = |window: usize, compute_c: bool| {
+            let mut e = Engine::new(&cfg, a.view(), b.view(), 0..a.rows(), &cancel, compute_c);
             run_in_windows(&mut e, &stream, window);
-            format!("{:?}", e.into_outcome())
+            let mut outcome = e.into_outcome();
+            let fibers = std::mem::take(&mut outcome.fibers);
+            (format!("{outcome:?}"), fibers)
         };
-        let one_window = outcome(usize::MAX);
-        for window in [1, 7, 64, 149] {
-            assert_eq!(outcome(window), one_window, "window {window}");
+        let (totals, fibers) = outcome(usize::MAX, true);
+        assert_eq!(fibers.len(), 24);
+        for window in [1, 7, 64, 149, usize::MAX] {
+            assert_eq!(
+                outcome(window, true),
+                (totals.clone(), fibers.clone()),
+                "window {window}"
+            );
+            assert_eq!(
+                outcome(window, false),
+                (totals.clone(), Vec::new()),
+                "window {window} without C"
+            );
         }
     }
 }

@@ -38,6 +38,20 @@
 //! reports and output matrices are byte-identical at *any* worker count.
 //! With the grain at its default of `0` there is a single band spanning
 //! every row and the engine is the classic sequential one, bit for bit.
+//!
+//! # Runs without C
+//!
+//! No cycle, counter, traffic or PSRAM charge reads a value: each follows
+//! from lengths and coordinates alone. So [`execute`] can skip C. Told not
+//! to compute it, the engine arms every [`RowAccum`] without values
+//! ([`RowAccum::begin_mode`]), Inner Product keeps only its grid's hit
+//! words, [`Engine::emit_row`] charges the write buffer and stores
+//! nothing, and [`assemble`] builds no matrix. Fibers that flow between
+//! phases (drained partials, parked partials, a split row's chunks and
+//! the passes of [`Engine::merge_row_fibers`]) keep their coordinates,
+//! with zero values that nothing reads. The report is byte-identical to
+//! the one a run that computes C returns. The mode is chosen once per
+//! execution, accumulator arming or scattered fiber, never per element.
 
 mod gustavson;
 mod inner_product;
@@ -64,7 +78,8 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Runs `a x b` under `dataflow` on the given configuration, returning the
-/// output matrix (in the dataflow's natural format) and the report.
+/// output matrix (in the dataflow's natural format) when `compute_c` is
+/// set, and the report, which is the same either way.
 ///
 /// `cancel` is polled cooperatively at band, tile and merge-pass
 /// boundaries: once it fires the run unwinds with
@@ -77,7 +92,8 @@ pub(crate) fn execute(
     b: &CompressedMatrix,
     dataflow: Dataflow,
     cancel: &CancelToken,
-) -> Result<(CompressedMatrix, ExecutionReport)> {
+    compute_c: bool,
+) -> Result<(Option<CompressedMatrix>, ExecutionReport)> {
     cfg.assert_valid();
     cancel.check()?;
     if a.cols() != b.rows() {
@@ -135,7 +151,7 @@ pub(crate) fn execute(
         // Band boundary: a fired token stops before any further band
         // starts (concurrent bands observe the shared latch together).
         cancel.check()?;
-        let mut engine = Engine::new(cfg, a_eff, b_eff, bands[bi].clone(), cancel);
+        let mut engine = Engine::new(cfg, a_eff, b_eff, bands[bi].clone(), cancel, compute_c);
         match class {
             DataflowClass::InnerProduct => {
                 inner_product::run(&mut engine, ip_stream.as_ref().expect("IP stream"))
@@ -174,12 +190,13 @@ pub(crate) fn execute(
         a_eff.rows(),
         b_eff.cols(),
         outcomes,
+        compute_c,
     )?;
-    let c = match dataflow.stationarity() {
+    let c = c_m.map(|c_m| match dataflow.stationarity() {
         Stationarity::M => c_m,
         Stationarity::N => c_m.reinterpret_transposed(),
-    };
-    debug_assert_eq!(c.order(), dataflow.c_format());
+    });
+    debug_assert!(c.as_ref().is_none_or(|c| c.order() == dataflow.c_format()));
     Ok((c, report))
 }
 
@@ -266,9 +283,9 @@ fn shard_bands(a: MatrixView<'_>, grain_nnz: usize) -> Vec<Range<u32>> {
     bands
 }
 
-/// One band's complete results: its rows of the output (band-local order)
-/// plus every additive total of the report. Reduced in band order by
-/// [`assemble`].
+/// One band's complete results: its rows of the output (band-local order;
+/// none when the run skips C) plus every additive total of the report.
+/// Reduced in band order by [`assemble`].
 #[derive(Debug)]
 pub(crate) struct BandOutcome {
     fibers: Vec<Fiber>,
@@ -281,10 +298,10 @@ pub(crate) struct BandOutcome {
     multiplications: u64,
 }
 
-/// Reduces band outcomes (in band order) into the output matrix and the
-/// execution report. Every reduction is additive except the PSRAM
-/// high-water mark, which takes the maximum — exactly what a sequential
-/// execution of the bands through one PSRAM would record.
+/// Reduces band outcomes (in band order) into the execution report and,
+/// when `compute_c` is set, the output matrix. Every reduction is additive
+/// except the PSRAM high-water mark, which takes the maximum — exactly what
+/// a sequential execution of the bands through one PSRAM would record.
 fn assemble(
     dataflow: Dataflow,
     work: SpGemmWork,
@@ -292,8 +309,9 @@ fn assemble(
     rows: u32,
     cols: u32,
     outcomes: Vec<BandOutcome>,
-) -> Result<(CompressedMatrix, ExecutionReport)> {
-    let mut fibers: Vec<Fiber> = Vec::with_capacity(rows as usize);
+    compute_c: bool,
+) -> Result<(Option<CompressedMatrix>, ExecutionReport)> {
+    let mut fibers: Vec<Fiber> = Vec::with_capacity(if compute_c { rows as usize } else { 0 });
     let mut phases = PhaseClock::new();
     let mut counters = CounterSet::new();
     let mut traffic = TrafficReport::default();
@@ -318,8 +336,17 @@ fn assemble(
         tiles += o.tiles;
         multiplications += o.multiplications;
     }
-    debug_assert_eq!(fibers.len(), rows as usize, "bands must cover every row");
-    let c = CompressedMatrix::from_fibers(rows, cols, MajorOrder::Row, fibers)?;
+    let c = if compute_c {
+        debug_assert_eq!(fibers.len(), rows as usize, "bands must cover every row");
+        Some(CompressedMatrix::from_fibers(
+            rows,
+            cols,
+            MajorOrder::Row,
+            fibers,
+        )?)
+    } else {
+        None
+    };
     let report = ExecutionReport {
         dataflow,
         total_cycles: phases.total(),
@@ -362,7 +389,7 @@ impl Psum {
     }
 
     /// The source as a fiber, scaling a B row into a fresh copy.
-    pub(crate) fn into_fiber(self, b: MatrixView<'_>) -> Fiber {
+    fn into_fiber(self, b: MatrixView<'_>) -> Fiber {
         match self {
             Psum::Scaled(k, aval) => {
                 let mut f = Fiber::new();
@@ -398,7 +425,11 @@ pub(crate) struct Engine<'a> {
     pub mrn: MergerReductionNetwork,
     pub phases: PhaseClock,
     pub counters: CounterSet,
-    /// Output fibers per band row (`out_fibers[row - band.start]`).
+    /// Whether this run computes C. Without it, accumulators arm without
+    /// values and no output fiber is stored.
+    pub compute_c: bool,
+    /// Output fibers per band row (`out_fibers[row - band.start]`); empty
+    /// when the run skips C.
     pub out_fibers: Vec<Fiber>,
     /// Accumulator backing the merge passes of
     /// [`Engine::merge_row_fibers`], reused across the band's rows.
@@ -427,8 +458,13 @@ impl<'a> Engine<'a> {
         b: MatrixView<'a>,
         band: Range<u32>,
         cancel: &'a CancelToken,
+        compute_c: bool,
     ) -> Self {
-        let band_rows = (band.end - band.start) as usize;
+        let band_rows = if compute_c {
+            (band.end - band.start) as usize
+        } else {
+            0
+        };
         Self {
             cfg,
             a,
@@ -452,6 +488,7 @@ impl<'a> Engine<'a> {
             }),
             phases: PhaseClock::new(),
             counters: CounterSet::new(),
+            compute_c,
             out_fibers: vec![Fiber::new(); band_rows],
             merge_acc: RowAccum::new(),
             tiles_run: 0,
@@ -503,29 +540,32 @@ impl<'a> Engine<'a> {
             .advance(phase, bottleneck(&[compute, dram_busy]));
     }
 
-    /// Merges one row's psum sources down to a single fiber, running as
+    /// Merges one row's psum sources down to a single source, running as
     /// many MRN passes as the tree radix requires. Intermediate pass results
     /// are buffered in the PSRAM (charged as psum traffic). Returns the
-    /// merged fiber and the cycles spent.
+    /// merged source and the cycles spent.
     ///
     /// Each source is a [`Psum`]: a scaled view of one B row (an
     /// Outer-Product partial fed by a single B row) or an owned fiber (a
     /// Gustavson split row's chunk fiber, or a reloaded Outer-Product
-    /// partial). Empty sources are dropped first. Each pass runs through a
-    /// tiered [`RowAccum`] instead of the comparator-tree replay:
-    /// scattering the batch in queue order folds every coordinate's values
-    /// in the merge's own source order, and a scaled view stores or adds
-    /// the same `v * aval` its materialized copy would hold, so each pass's
-    /// result — and with it the nested fold across passes — is
-    /// bit-identical to [`flexagon_sparse::merge::merge_accumulate`] over
-    /// the pass's materialized sources, while
+    /// partial). Empty sources are dropped first, and a lone nonempty
+    /// source is returned as it is. Each pass runs through a tiered
+    /// [`RowAccum`] instead of the comparator-tree replay: scattering the
+    /// batch in queue order folds every coordinate's values in the merge's
+    /// own source order, and a scaled view stores or adds the same
+    /// `v * aval` its materialized copy would hold, so each pass's result —
+    /// and with it the nested fold across passes — is bit-identical to
+    /// [`flexagon_sparse::merge::merge_accumulate`] over the pass's
+    /// materialized sources, while
     /// [`MergerReductionNetwork::charge_merge`] charges that merge's counts.
-    pub(crate) fn merge_row_fibers(&mut self, sources: Vec<Psum>) -> (Fiber, Cycle) {
+    /// A run without C arms the accumulator without values, so a pass is
+    /// the union of its sources' coordinates and every count is the same.
+    pub(crate) fn merge_row_fibers(&mut self, sources: Vec<Psum>) -> (Psum, Cycle) {
         let b = self.b;
         let mut queue: VecDeque<Psum> = sources.into_iter().filter(|p| p.len(b) > 0).collect();
         match queue.len() {
-            0 => return (Fiber::new(), 0),
-            1 => return (queue.pop_front().expect("len checked").into_fiber(b), 0),
+            0 => return (Psum::Owned(Fiber::new()), 0),
+            1 => return (queue.pop_front().expect("len checked"), 0),
             _ => {}
         }
         let radix = self.mrn.max_radix();
@@ -541,7 +581,7 @@ impl<'a> Engine<'a> {
                 hi = hi.max(coords[coords.len() - 1]);
                 total += coords.len() as u64;
             }
-            acc.begin(lo, hi, total, &AccumConfig::default());
+            acc.begin_mode(lo, hi, total, &AccumConfig::default(), self.compute_c);
             for p in &batch {
                 match p {
                     Psum::Scaled(k, aval) => acc.scatter_scaled(b.fiber(*k), *aval),
@@ -551,16 +591,12 @@ impl<'a> Engine<'a> {
             let out = acc.drain();
             cycles += self.mrn.charge_merge(total, out.len() as u64);
             self.counters.incr("mrn.merge_passes");
-            if queue.is_empty() {
-                self.merge_acc = acc;
-                return (out, cycles);
-            }
             // Merge-pass boundary: a fired token abandons the remaining
             // passes. The partial fiber flows back to a caller that bails
             // at its next tile check, and the band is then discarded.
-            if self.cancel.is_cancelled() {
+            if queue.is_empty() || self.cancel.is_cancelled() {
                 self.merge_acc = acc;
-                return (out, cycles);
+                return (Psum::Owned(out), cycles);
             }
             // Intermediate result waits in the PSRAM for the next pass.
             self.psram.charge_intermediate_roundtrip(out.len() as u64);
@@ -586,8 +622,15 @@ impl<'a> Engine<'a> {
         self.mrn.charge_merge(inputs, out_len)
     }
 
-    /// Emits a final output fiber for `row` through the write buffer.
-    pub(crate) fn emit_row(&mut self, row: u32, fiber: Fiber) {
+    /// Emits `row`'s final output through the write buffer. A run that
+    /// computes C stores it as the row's fiber, scaling a lone B row into
+    /// a copy; a run without C charges its length and stores nothing.
+    pub(crate) fn emit_row(&mut self, row: u32, out: Psum) {
+        if !self.compute_c {
+            self.wbuf.write(out.len(self.b) as u64, &mut self.dram);
+            return;
+        }
+        let fiber = out.into_fiber(self.b);
         self.wbuf.write(fiber.len() as u64, &mut self.dram);
         let idx = self.band_idx(row);
         self.out_fibers[idx] = fiber;
@@ -713,7 +756,7 @@ mod tests {
                 .iter()
                 .map(|&df| {
                     let (c, report) =
-                        execute(&cfg, &a, &b, df, &CancelToken::never()).expect("run");
+                        execute(&cfg, &a, &b, df, &CancelToken::never(), true).expect("run");
                     format!(
                         "{}{}",
                         serde_json::to_string(&report).unwrap(),
@@ -744,8 +787,8 @@ mod tests {
         let mut cfg1 = AcceleratorConfig::tiny();
         cfg1.engine = cfg1.engine.sharded(1 << 30, 4);
         for df in Dataflow::ALL {
-            let (c0, r0) = execute(&cfg0, &a, &b, df, &CancelToken::never()).expect("run");
-            let (c1, r1) = execute(&cfg1, &a, &b, df, &CancelToken::never()).expect("run");
+            let (c0, r0) = execute(&cfg0, &a, &b, df, &CancelToken::never(), true).expect("run");
+            let (c1, r1) = execute(&cfg1, &a, &b, df, &CancelToken::never(), true).expect("run");
             assert_eq!(c0, c1);
             assert_eq!(
                 serde_json::to_string(&r0).unwrap(),
@@ -761,8 +804,10 @@ mod tests {
         cancelled.cancel();
         let cfg = AcceleratorConfig::tiny();
         for df in Dataflow::ALL {
-            let err = execute(&cfg, &a, &b, df, &cancelled).unwrap_err();
-            assert!(matches!(err, CoreError::DeadlineExceeded), "{df}");
+            for compute_c in [true, false] {
+                let err = execute(&cfg, &a, &b, df, &cancelled, compute_c).unwrap_err();
+                assert!(matches!(err, CoreError::DeadlineExceeded), "{df}");
+            }
         }
         // The sharded multi-band path bails too and leaves nothing behind:
         // a clean run right after a cancelled one on the same accelerator
@@ -797,8 +842,8 @@ mod tests {
         cfg.engine = cfg.engine.sharded(25, 2);
         let far = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         for df in Dataflow::ALL {
-            let (c0, r0) = execute(&cfg, &a, &b, df, &CancelToken::never()).unwrap();
-            let (c1, r1) = execute(&cfg, &a, &b, df, &far).unwrap();
+            let (c0, r0) = execute(&cfg, &a, &b, df, &CancelToken::never(), true).unwrap();
+            let (c1, r1) = execute(&cfg, &a, &b, df, &far, true).unwrap();
             assert_eq!(c0, c1, "{df}");
             assert_eq!(
                 serde_json::to_string(&r0).unwrap(),

@@ -139,7 +139,7 @@ pub(super) fn run(e: &mut Engine<'_>, elements: Option<&[(u32, u32, Value)]>) {
                 if pool.len() == armed {
                     pool.push(RowAccum::new());
                 }
-                pool[armed].begin(lo, hi, nnz, &AccumConfig::default());
+                pool[armed].begin_mode(lo, hi, nnz, &AccumConfig::default(), e.compute_c);
                 accum_of[(row - base) as usize] = armed as u32;
                 armed += 1;
             }
@@ -236,7 +236,7 @@ pub(super) fn run(e: &mut Engine<'_>, elements: Option<&[(u32, u32, Value)]>) {
                     parked[r] += 1;
                 }
             } else if slots.is_empty() {
-                e.emit_row(row, partial.map_or_else(Fiber::new, |p| p.into_fiber(b)));
+                e.emit_row(row, partial.unwrap_or(Psum::Owned(Fiber::new())));
             } else {
                 // Reload the DRAM-resident partials and run the final
                 // cross-tile merge.

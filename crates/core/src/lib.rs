@@ -10,7 +10,8 @@
 //! * [`transitions`] — the inter-layer format-compatibility rules (Table 4).
 //! * [`AcceleratorConfig`] — the Table 5 configuration.
 //! * [`Accelerator`] — common interface; implemented by [`Flexagon`],
-//!   [`SigmaLike`], [`SparchLike`], [`GammaLike`] and [`CpuMkl`].
+//!   [`SigmaLike`], [`SparchLike`] and [`GammaLike`]. The CPU reference
+//!   [`CpuMkl`] is not an accelerator: it has its own `run` and `report`.
 //! * [`ExecutionReport`] — cycles, phase split, on-/off-chip traffic, cache
 //!   and PSRAM statistics for one SpMSpM execution.
 //! * [`mapper`] — per-layer dataflow selection: [`MappingStrategy`]
@@ -23,14 +24,19 @@
 //!   optional [`CancelToken`] deadline. An accelerator is a plain
 //!   configuration value; every execution builds its scratch and simulated
 //!   hardware fresh, so runs never influence one another.
+//! * [`Accelerator::simulate`] — the same request, resolved and simulated
+//!   the same way, for its [`ExecutionReport`] alone: C is never computed,
+//!   and the report is byte-identical to `execute`'s.
 //! * [`CancelToken`] — cooperative cancellation, polled at band/tile/
 //!   merge-pass boundaries; unarmed tokens are result-transparent, armed
 //!   ones surface [`CoreError::DeadlineExceeded`].
 //!
-//! Every run is functionally exact: the returned output matrix is produced
-//! by actually executing the dataflow (stationary/streaming/merging phases
-//! against the simulated memory structures) and can be validated against
-//! the dense reference.
+//! Every [`Accelerator::execute`] run is functionally exact: the returned
+//! output matrix is produced by actually executing the dataflow
+//! (stationary/streaming/merging phases against the simulated memory
+//! structures) and can be validated against the dense reference. A
+//! [`Accelerator::simulate`] run walks the same phases over the operands'
+//! structure only, since no cycle or traffic charge reads a value.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -47,7 +53,8 @@ mod report;
 pub mod transitions;
 
 pub use accel::{
-    Accelerator, Execution, ExecutionRequest, Flexagon, GammaLike, RunOutput, SigmaLike, SparchLike,
+    Accelerator, Execution, ExecutionRequest, Flexagon, GammaLike, RunOutput, SigmaLike,
+    Simulation, SparchLike,
 };
 pub use cancel::CancelToken;
 pub use config::{AcceleratorConfig, EngineConfig};

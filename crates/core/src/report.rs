@@ -69,6 +69,15 @@ pub struct ExecutionReport {
 }
 
 impl ExecutionReport {
+    /// nnz(C): the output elements the write buffer drained to DRAM (the
+    /// `wbuf.elements` counter). Every dataflow, sharded or not, passes
+    /// each element of C through the write buffer exactly once, so a
+    /// report from [`crate::Accelerator::simulate`] tells C's size without
+    /// C. A [`crate::CpuMkl`] report keeps no counters and reads 0.
+    pub fn output_nnz(&self) -> u64 {
+        self.counters.get("wbuf.elements")
+    }
+
     /// On-chip traffic total in bytes.
     pub fn onchip_bytes(&self) -> u64 {
         self.traffic.onchip_total()

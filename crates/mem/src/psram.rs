@@ -26,7 +26,9 @@
 //! stores nothing. The engine writes only ghost chains and keeps the psums
 //! it buffers in its own accumulators. Data chains
 //! ([`Psram::partial_write_fiber`], [`Psram::consume_fiber`]) are the
-//! reference the tests hold the ghost accounting against.
+//! reference the tests hold the ghost accounting against. A set allocates
+//! its element storage on its first data write, so a PSRAM that holds only
+//! ghost chains, as every engine band's does, never allocates it.
 //!
 //! A batch of fresh ghost chains that is written in full and then consumed
 //! in full, as an Outer-Product tile's psums are, can skip the chain walk:
@@ -156,7 +158,9 @@ impl SoaBuf {
 #[derive(Debug, Clone)]
 struct Set {
     /// `blocks[i]` is the element data of slot `i` (empty when invalid, and
-    /// always empty under a ghost chain).
+    /// always empty under a ghost chain). Only data chains store elements,
+    /// so the slots are allocated by the set's first data write: a set that
+    /// only ever holds ghost chains has none.
     blocks: Vec<SoaBuf>,
     /// `next[i]` is the slot that follows slot `i` in its chain.
     next: Vec<usize>,
@@ -170,7 +174,7 @@ struct Set {
 impl Set {
     fn new(num_blocks: usize) -> Self {
         Self {
-            blocks: vec![SoaBuf::default(); num_blocks],
+            blocks: Vec::new(),
             next: vec![0; num_blocks],
             free: (0..num_blocks).rev().collect(),
             chains: Vec::new(),
@@ -271,7 +275,8 @@ impl Psram {
     /// 10): the tail block fills first, then fresh blocks come off the free
     /// list in bulk, and whenever the set runs out the largest resident
     /// fiber spills. `fill(block, off, take)` stores elements
-    /// `off..off + take` into a block; ghost chains store nothing.
+    /// `off..off + take` into a block of a data chain; a ghost chain stores
+    /// nothing and never calls it.
     fn append(
         &mut self,
         row: u32,
@@ -287,6 +292,10 @@ impl Psram {
         self.write_elems += len as u64;
         let per_block = self.cfg.elements_per_block();
         let set_idx = self.set_index(row);
+        if !ghost && self.sets[set_idx].blocks.is_empty() {
+            let slots = self.sets[set_idx].next.len();
+            self.sets[set_idx].blocks = vec![SoaBuf::default(); slots];
+        }
         let key = (row, k);
         let mut found = self.sets[set_idx].find(key);
         let mut off = 0usize;
@@ -296,7 +305,9 @@ impl Psram {
             debug_assert_eq!(chain.ghost, ghost, "ghost and data writes to one chain");
             off = chain.tail_space(per_block).min(len);
             if off > 0 {
-                fill(&mut set.blocks[chain.tail], 0, off);
+                if !ghost {
+                    fill(&mut set.blocks[chain.tail], 0, off);
+                }
                 chain.len += off;
             }
         }
@@ -324,9 +335,11 @@ impl Psram {
             let n = (len - off).div_ceil(per_block).min(set.free.len());
             for _ in 0..n {
                 let slot = set.free.pop().expect("n bounded by the free list");
-                debug_assert_eq!(set.blocks[slot].len(), 0, "free blocks hold no data");
                 let take = per_block.min(len - off);
-                fill(&mut set.blocks[slot], off, take);
+                if !ghost {
+                    debug_assert_eq!(set.blocks[slot].len(), 0, "free blocks hold no data");
+                    fill(&mut set.blocks[slot], off, take);
+                }
                 if chain.blocks == 0 {
                     chain.head = slot;
                 } else {

@@ -30,6 +30,14 @@
 //! fibers in ascending-k order therefore reproduces the k-way merge of the
 //! k-tagged psum fibers bit for bit, including `-0.0` and other
 //! non-associativity hazards.
+//!
+//! A simulation that needs only the merged row's structure arms the
+//! accumulator without values ([`RowAccum::begin_mode`]). The tier is
+//! selected as before, but no value is read, scaled, stored or summed:
+//! the Dense and Paged tiers keep only their presence words, and the Runs
+//! tier keeps the incoming coordinates and unions them on drain. The drain
+//! returns the same coordinates a valued arming would, each with a zero
+//! value.
 
 use crate::{merge, Fiber, FiberView, Value};
 use serde::{Deserialize, Serialize};
@@ -179,6 +187,12 @@ pub struct RowAccum {
     runs: Vec<Fiber>,
     /// Recycled run buffers.
     spare: Vec<Fiber>,
+    /// Whether the armed row keeps values; without them every tier keeps
+    /// coordinates only.
+    values: bool,
+    /// Runs tier without values: the coordinates of every scattered run,
+    /// in arrival order.
+    run_coords: Vec<u32>,
 }
 
 impl RowAccum {
@@ -201,13 +215,32 @@ impl RowAccum {
     /// Panics in debug builds if the previous row was not drained or
     /// `hi < lo`.
     pub fn begin(&mut self, lo: u32, hi: u32, nnz_hint: u64, cfg: &AccumConfig) {
+        self.begin_mode(lo, hi, nnz_hint, cfg, true);
+    }
+
+    /// [`RowAccum::begin`], with or without values. Armed with `values`
+    /// false, the row keeps only the coordinates its scatters touch: the
+    /// scale factors and values of the scattered fibers are never read, and
+    /// [`RowAccum::drain`] returns the coordinates of a valued arming, each
+    /// with a zero value.
+    ///
+    /// # Panics
+    ///
+    /// As [`RowAccum::begin`].
+    pub fn begin_mode(&mut self, lo: u32, hi: u32, nnz_hint: u64, cfg: &AccumConfig, values: bool) {
         debug_assert!(self.is_drained(), "begin on an undrained accumulator");
         debug_assert!(lo <= hi, "inverted span");
         let span = (hi - lo) as u64 + 1;
         let tier = AccumTier::select(span, nnz_hint, cfg);
         self.lo = lo;
         self.n_words = (span as usize).div_ceil(64);
+        self.values = values;
         match tier {
+            AccumTier::Dense | AccumTier::Paged if !values => {
+                if self.words.len() < self.n_words {
+                    self.words.resize(self.n_words, 0);
+                }
+            }
             AccumTier::Dense => {
                 // Word-aligned sizing: the drain reads a whole 64-slot value
                 // window per presence word, so the array covers the final
@@ -238,7 +271,7 @@ impl RowAccum {
 
     /// Whether the accumulator holds no undrained data.
     pub fn is_drained(&self) -> bool {
-        self.distinct == 0 && self.runs.is_empty()
+        self.distinct == 0 && self.runs.is_empty() && self.run_coords.is_empty()
     }
 
     /// Scatters `fiber` scaled by `factor` into the row, as the next merge
@@ -260,9 +293,14 @@ impl RowAccum {
 
     /// Shared scatter body. The const parameter monomorphizes the two entry
     /// points, so the unscaled path compiles without the per-element
-    /// multiply while both keep exactly one copy of the tier logic.
+    /// multiply while both keep exactly one copy of the tier logic. An
+    /// arming without values turns off here, once per scattered fiber.
     #[inline]
     fn scatter_impl<const SCALED: bool>(&mut self, fiber: FiberView<'_>, factor: Value) {
+        if !self.values {
+            self.scatter_coords(fiber);
+            return;
+        }
         let scale = |v: Value| if SCALED { v * factor } else { v };
         match self.tier.expect("scatter on an un-armed accumulator") {
             AccumTier::Dense => {
@@ -314,6 +352,35 @@ impl RowAccum {
         }
     }
 
+    /// The scatter of an arming without values, kept out of line so the
+    /// valued tiers compile as they would alone.
+    #[inline(never)]
+    fn scatter_coords(&mut self, fiber: FiberView<'_>) {
+        let coords = fiber.coords();
+        match self.tier.expect("scatter on an un-armed accumulator") {
+            AccumTier::Dense | AccumTier::Paged => {
+                // The coordinates ascend, so each presence word they touch
+                // gathers its bits in a register and is stored once.
+                let Some(&first) = coords.first() else {
+                    return;
+                };
+                let (mut word, mut bits) = (((first - self.lo) >> 6) as usize, 0u64);
+                for &c in coords {
+                    let bit = (c - self.lo) as usize;
+                    if bit >> 6 != word {
+                        self.distinct += (bits & !self.words[word]).count_ones() as usize;
+                        self.words[word] |= bits;
+                        (word, bits) = (bit >> 6, 0);
+                    }
+                    bits |= 1u64 << (bit & 63);
+                }
+                self.distinct += (bits & !self.words[word]).count_ones() as usize;
+                self.words[word] |= bits;
+            }
+            AccumTier::Runs => self.run_coords.extend_from_slice(coords),
+        }
+    }
+
     /// Collapses the run list into one run when it hits the limit. A prefix
     /// merge folds values in exactly the order a single final merge would,
     /// so this is invisible in the drained result.
@@ -336,8 +403,12 @@ impl RowAccum {
     /// resets the accumulator for the next `begin`.
     ///
     /// The result is bit-identical to `merge::merge_accumulate` over the
-    /// scattered fibers in arrival order.
+    /// scattered fibers in arrival order. Armed without values, it has the
+    /// same coordinates, each with a zero value.
     pub fn drain(&mut self) -> Fiber {
+        if !self.values {
+            return self.drain_coords();
+        }
         let tier = self.tier.take().expect("drain on an un-armed accumulator");
         match tier {
             AccumTier::Dense => {
@@ -403,6 +474,35 @@ impl RowAccum {
                 }
             },
         }
+    }
+
+    /// The drain of an arming without values: the union of the scattered
+    /// coordinates, each with a zero value.
+    #[inline(never)]
+    fn drain_coords(&mut self) -> Fiber {
+        let coords = match self.tier.take().expect("drain on an un-armed accumulator") {
+            AccumTier::Dense | AccumTier::Paged => {
+                let mut coords: Vec<u32> = Vec::with_capacity(self.distinct);
+                for w in 0..self.n_words {
+                    let mut word = std::mem::take(&mut self.words[w]);
+                    let base = self.lo + ((w << 6) as u32);
+                    while word != 0 {
+                        coords.push(base + word.trailing_zeros());
+                        word &= word - 1;
+                    }
+                }
+                self.distinct = 0;
+                coords
+            }
+            AccumTier::Runs => {
+                let mut coords = std::mem::take(&mut self.run_coords);
+                coords.sort_unstable();
+                coords.dedup();
+                coords
+            }
+        };
+        let zeros = vec![0.0; coords.len()];
+        Fiber::from_parts(coords, zeros)
     }
 }
 
@@ -550,6 +650,55 @@ mod tests {
                 acc.scatter_scaled(fb.as_view(), *s);
             }
             assert_eq!(acc.drain(), reference(fibers));
+        }
+    }
+
+    #[test]
+    fn arming_without_values_keeps_each_tiers_coordinates() {
+        let cfg = AccumConfig {
+            runs_merge_limit: 2,
+            ..AccumConfig::default()
+        };
+        let batches = [
+            // Dense, Paged and Runs (collapsing at two runs when valued).
+            vec![
+                (f(&[(3, 1.0), (5, 2.0)]), 2.0),
+                (f(&[(5, 1.5), (9, 0.5)]), -1.0),
+            ],
+            vec![
+                (f(&[(10, 1.0), (200, 2.0)]), 1.0),
+                (f(&[(10, 3.0), (310, 4.0)]), 2.5),
+                (f(&[(155, 5.0), (310, 6.0)]), -0.5),
+            ],
+            vec![
+                (f(&[(0, 1.0), (1 << 30, 2.0)]), 1.0),
+                (f(&[(512, 3.0), (1 << 30, 4.0)]), 3.0),
+                (f(&[(7, 3.0), (512, 4.0)]), 0.5),
+            ],
+        ];
+        let mut acc = RowAccum::new();
+        for (fibers, tier) in
+            batches
+                .iter()
+                .zip([AccumTier::Dense, AccumTier::Paged, AccumTier::Runs])
+        {
+            let (lo, hi, nnz) = span_of(fibers);
+            acc.begin_mode(lo, hi, nnz, &cfg, false);
+            assert_eq!(acc.tier(), Some(tier));
+            for (fb, s) in fibers {
+                acc.scatter_scaled(fb.as_view(), *s);
+            }
+            let got = acc.drain();
+            assert!(acc.is_drained());
+            let want = reference(fibers);
+            assert_eq!(got.coords(), want.coords(), "{} tier", tier.name());
+            assert!(got.values().iter().all(|&v| v == 0.0));
+            // The next valued arming is unaffected.
+            acc.begin(lo, hi, nnz, &cfg);
+            for (fb, s) in fibers {
+                acc.scatter_scaled(fb.as_view(), *s);
+            }
+            assert_eq!(acc.drain(), want);
         }
     }
 
